@@ -21,8 +21,7 @@ N = gfq.nullspace(F, A)
 print("nullspace dim:", N.shape[0])
 assert not F.matmul(A, N.T).any()
 
-# the FqMatrix wrapper carries the field along
-M = gfq.FqMatrix(F, [[1, 2], [3, 0]])
-Minv = M.inverse()
+M = np.array([[1, 2], [3, 0]], dtype=np.int16)
+Minv = gfq.inverse(F, M)
 print("inverse check:", np.array_equal(
-    F.matmul(M.a, Minv.a), np.eye(2, dtype=np.int16)))
+    F.matmul(M, Minv), np.eye(2, dtype=np.int16)))

@@ -1,6 +1,6 @@
 """blockperm: exact block theory of small finite group algebras."""
 
-from .gfq import GF, FqMatrix
+from .gfq import GF
 
-__all__ = ["GF", "FqMatrix"]
+__all__ = ["GF"]
 __version__ = "0.1.0"

@@ -89,16 +89,6 @@ class FinDimAlgebra:
         return meataxe.vector_annihilator(self.field, self.lmul_of(x),
                                           self.one)
 
-    def element_power(self, x, k):
-        acc = self.one.copy()
-        base = np.asarray(x, dtype=np.int16)
-        while k:
-            if k & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
-            k >>= 1
-        return acc
-
     # -- regular module --
 
     def regular_generators(self, seed=0):
@@ -293,8 +283,6 @@ class FinDimAlgebra:
         """For each primitive e_t the dual of e_t A, as left-module action
         matrices over the same generating set as projective_modules."""
         F = self.field
-        gens_idx = None
-        del gens_idx
         out = []
         # right action of the chosen regular generators: x -> x * g needs g
         # as an element; regenerate matching elements by using all basis

@@ -482,15 +482,6 @@ class Block:
         m = self.sylow_coinvariants_module(sylow)
         return len(meataxe.composition_factors(m.field, m.mats, seed=seed))
 
-    def number_of_simples_algebra(self, seed=0):
-        """l(B) through the block algebra itself; for small groups.
-
-        Counts the central primitive idempotents of the semisimple quotient,
-        which is the number of simple modules when the field is splitting."""
-        alg = self.block_algebra_small()
-        quo, _P, _lift = alg.semisimple_quotient(seed=seed)
-        return len(quo.central_primitive_idempotents(seed=seed))
-
     def brauer_correspondent(self, p_sub, seed=0):
         """The block of k[N_G(P)] cut out by truncating the block idempotent
         to C_G(P)-support.
@@ -519,20 +510,6 @@ class Block:
         assert np.array_equal(total, br)
         assert len(hits) == 1, "correspondent is not a single block"
         return small, hits[0]
-
-    def block_algebra_small(self):
-        """The block as a FinDimAlgebra (small groups only)."""
-        ga = self.ga
-        F = ga.field
-        rows, piv = self.rows()
-        d = rows.shape[0]
-        mult = np.zeros((d, d, d), dtype=np.int16)
-        for k, pk in enumerate(piv):
-            col = ga.M1[:, pk]
-            Y = rows[:, col]
-            mult[:, :, k] = F.matmul(rows, Y.T)
-        one = np.asarray(self.evec)[piv].astype(np.int16)
-        return FinDimAlgebra(F, mult, one)
 
     def __repr__(self):
         return "Block(dim=%d%s)" % (self.dim,

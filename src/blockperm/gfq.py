@@ -271,13 +271,11 @@ class GF:
         if self.e == 1:
             return (np.asarray(a, dtype=np.int64).sum(axis=axis) % self.p).astype(np.int16)
         # sum coefficient planes
-        acc = 0
         arr = np.asarray(a, dtype=np.int64)
         enc = 0
         for d in range(self.e):
             plane = (arr // self.p ** d) % self.p
             enc = enc + (plane.sum(axis=axis) % self.p) * self.p ** d
-        del acc
         return np.asarray(enc, dtype=np.int16)
 
     def matmul(self, A, B):
@@ -306,14 +304,6 @@ class GF:
 
     def elements(self):
         return list(range(self.q))
-
-    def frobenius(self, a):
-        """a -> a^p, elementwise."""
-        out = np.asarray(a, dtype=np.int16).copy()
-        flat = out.ravel()
-        for i, v in enumerate(flat):
-            flat[i] = self.pow_scalar(int(v), self.p)
-        return out
 
     def to_json(self):
         return self.name
@@ -402,7 +392,12 @@ def _echelon_prime_blocked(p, A, limit):
         newidx = []
         newpivs = []
         taken = np.zeros(C.shape[0], dtype=bool)
+        # a zero row never takes a pivot, so stop scanning columns once
+        # every nonzero row has one; rows the elimination zeroes drop out
+        nlive = int(C[:, :limit].any(axis=1).sum())
         for c in range(limit):
+            if len(newidx) == nlive:
+                break
             col = C[:, c]
             nz = np.nonzero((col != 0) & ~taken)[0]
             if len(nz) == 0:
@@ -415,17 +410,18 @@ def _echelon_prime_blocked(p, A, limit):
             f[r] = 0
             live = f != 0
             if live.any():
-                C[live] = (C[live] - np.outer(f[live], C[r])) % p
+                upd = (C[live] - np.outer(f[live], C[r])) % p
+                C[live] = upd
+                nlive -= int((~upd[:, :limit].any(axis=1)).sum())
             newidx.append(r)
             newpivs.append(c)
-            if len(newidx) == C.shape[0]:
-                break
         if newidx:
             N = C[newidx]
             if pivots:
                 f = Rf[:, newpivs]
                 if np.any(f):
-                    Rf = (Rf - f @ N) % p
+                    Rf -= f @ N
+                    Rf %= p
             Rf = np.vstack([Rf, N])
             pivots.extend(newpivs)
     order = np.argsort(pivots, kind="stable")
@@ -490,114 +486,108 @@ def inverse(field, A):
     return X
 
 
+class Echelon:
+    """Semi-echelon rows grown one vector at a time.
+
+    add(v) reduces v against the rows held so far and keeps what is left,
+    scaled to a leading 1, if it is nonzero.  With track=n each row also
+    carries its coefficients in the (at most n) vectors offered so far, and
+    after a rejected vector, relation holds coefficients c with
+    sum_i c[i] * v_i == 0 and c == 1 at the rejected vector.
+    """
+
+    def __init__(self, field, track=0):
+        self.field = field
+        self.rows = []
+        self.pivots = []
+        self.track = track
+        self.coeffs = []
+        self.offered = 0
+        self.relation = None
+
+    def add(self, v):
+        """Whether v was outside the span; if so, it is added."""
+        F = self.field
+        red = np.asarray(v, dtype=np.int16)
+        co = None
+        if self.track:
+            co = np.zeros(self.track, dtype=np.int16)
+            co[self.offered] = 1
+        self.offered += 1
+        for i, (row, piv) in enumerate(zip(self.rows, self.pivots)):
+            c = red[piv]
+            if c:
+                red = F.sub(red, F.mul(np.int16(c), row))
+                if co is not None:
+                    co = F.sub(co, F.mul(np.int16(c), self.coeffs[i]))
+        nz = np.nonzero(red)[0]
+        if len(nz) == 0:
+            self.relation = co
+            return False
+        piv = int(nz[0])
+        inv = np.int16(F.inv(int(red[piv])))
+        self.rows.append(F.mul(inv, red))
+        self.pivots.append(piv)
+        if co is not None:
+            self.coeffs.append(F.mul(inv, co))
+        return True
+
+
+class Spin:
+    """Closure of a row span under left action by mats, grown seed by seed.
+
+    raws[i] is the unreduced vector behind basis row i and tree[i] says how
+    it arose: ('seed', s) for the s-th accepted seed, or ('mul', g, j) for
+    mats[g] applied to raws[j].  Each accepted seed is closed breadth first
+    before the next one is offered.
+    """
+
+    def __init__(self, field, mats):
+        self.field = field
+        self.mats = mats
+        self.basis = Echelon(field)
+        self.raws = []
+        self.tree = []
+        self.nseeds = 0
+
+    def _take(self, v, tag):
+        if not self.basis.add(v):
+            return False
+        self.raws.append(v)
+        self.tree.append(tag)
+        return True
+
+    def seed(self, v):
+        """Add v, unless it is in the span already, and close under mats."""
+        if not self._take(np.asarray(v, dtype=np.int16),
+                          ("seed", self.nseeds)):
+            return
+        self.nseeds += 1
+        i = len(self.raws) - 1
+        while i < len(self.raws):
+            for g, M in enumerate(self.mats):
+                w = self.field.matmul(M, self.raws[i][:, None])[:, 0]
+                self._take(w, ("mul", g, i))
+            i += 1
+
+
 def spin_basis(field, mats, seeds):
     """Closure of the row span of seeds under left action by mats.
 
     seeds: (k, n) array of row vectors.  Returns (basis, pivots, tree) where
-    basis rows are in echelon form as produced incrementally, pivots are their
-    leading columns, and tree[i] describes how row i arose: ('seed', j) or
-    ('mul', g, parent_row_index).  The spanned subspace is mats-invariant.
+    basis rows are in semi-echelon form as produced incrementally, pivots are
+    their leading columns, and tree[i] describes how row i arose: ('seed', s)
+    for the s-th seed that was not already in the span, or
+    ('mul', g, parent_row_index).  Seeds are closed one at a time, so the
+    rows depend on the seed order but their span does not.  The spanned
+    subspace is mats-invariant.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int16))
-    n = seeds.shape[1]
-    basis = []
-    pivots = []
-    tree = []
-    raw = []  # unreduced vector for each accepted basis row (for hom trees)
-
-    def reduce_vec(v):
-        v = v.copy()
-        for brow, bp in zip(basis, pivots):
-            c = v[bp]
-            if c:
-                v = field.sub(v, field.mul(np.int16(c), brow))
-        return v
-
-    def try_add(v, tag):
-        red = reduce_vec(v)
-        nz = np.nonzero(red)[0]
-        if len(nz) == 0:
-            return False
-        c = int(nz[0])
-        red = field.mul(red, field.inv(int(red[c])))
-        basis.append(red)
-        pivots.append(c)
-        raw.append(v)
-        tree.append(tag)
-        return True
-
-    queue = []
-    for j in range(seeds.shape[0]):
-        if try_add(seeds[j], ("seed", j)):
-            queue.append(len(basis) - 1)
-    qi = 0
-    while qi < len(queue):
-        i = queue[qi]
-        qi += 1
-        v = raw[i]
-        for g, M in enumerate(mats):
-            w = field.matmul(M, v[:, None])[:, 0]
-            if try_add(w, ("mul", g, i)):
-                queue.append(len(basis) - 1)
-    if basis:
-        B = np.array(basis, dtype=np.int16)
+    spin = Spin(field, mats)
+    for v in seeds:
+        spin.seed(v)
+    if spin.raws:
+        B = np.array(spin.basis.rows, dtype=np.int16)
     else:
-        B = np.zeros((0, n), dtype=np.int16)
-    return B, pivots, tree
-
-
-class FqMatrix:
-    """Thin matrix wrapper tying an int16 code array to its field."""
-
-    def __init__(self, field, data):
-        self.field = field
-        self.a = field.array(data)
-        assert self.a.ndim == 2
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, np.eye(n, dtype=np.int16))
-
-    @classmethod
-    def zeros(cls, field, nr, nc):
-        return cls(field, np.zeros((nr, nc), dtype=np.int16))
-
-    @property
-    def shape(self):
-        return self.a.shape
-
-    def __matmul__(self, other):
-        assert self.field is other.field
-        return FqMatrix(self.field, self.field.matmul(self.a, other.a))
-
-    def __add__(self, other):
-        return FqMatrix(self.field, self.field.add(self.a, other.a))
-
-    def __sub__(self, other):
-        return FqMatrix(self.field, self.field.sub(self.a, other.a))
-
-    def __eq__(self, other):
-        return self.field is other.field and np.array_equal(self.a, other.a)
-
-    def rref(self):
-        R, piv = echelon(self.field, self.a)
-        return FqMatrix(self.field, R), piv, len(piv)
-
-    def rank(self):
-        return rank(self.field, self.a)
-
-    def nullspace_basis(self):
-        return FqMatrix(self.field, nullspace(self.field, self.a))
-
-    def solve(self, b):
-        x = solve(self.field, self.a, b.a if isinstance(b, FqMatrix) else b)
-        return None if x is None else FqMatrix(self.field, np.atleast_2d(x))
-
-    def inverse(self):
-        return FqMatrix(self.field, inverse(self.field, self.a))
-
-    def transpose(self):
-        return FqMatrix(self.field, self.a.T.copy())
-
-    def __repr__(self):
-        return "FqMatrix(%r,\n%r)" % (self.field, self.a)
+        B = np.zeros((0, seeds.shape[1]), dtype=np.int16)
+    return B, spin.basis.pivots, spin.tree

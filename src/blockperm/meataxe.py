@@ -45,35 +45,12 @@ def random_element(field, mats, rng):
 
 def vector_annihilator(field, M, v):
     """Monic minimal polynomial of M on the vector v (a column)."""
-    n = M.shape[0]
-    rows = [v.astype(np.int16)]
-    cur = v.astype(np.int16)
-    # incremental echelon with coefficient tracking
-    basis = []
-    pivots = []
-    coeffs = []  # row i of krylov stack in terms of v, Mv, ...
-    k = 0
-    while True:
-        red = rows[-1].copy()
-        co = np.zeros(n + 1, dtype=np.int16)
-        co[k] = 1
-        for brow, bp, bco in zip(basis, pivots, coeffs):
-            c = red[bp]
-            if c:
-                red = field.sub(red, field.mul(np.int16(c), brow))
-                co = field.sub(co, field.mul(np.int16(c), bco))
-        nz = np.nonzero(red)[0]
-        if len(nz) == 0:
-            # co encodes sum co[i] M^i v = 0 with co[k] == 1
-            return polys.monic(field, polys.normalize(co))
-        piv = int(nz[0])
-        inv = field.inv(int(red[piv]))
-        basis.append(field.mul(np.int16(inv), red))
-        coeffs.append(field.mul(np.int16(inv), co))
-        pivots.append(piv)
-        cur = field.matmul(M, cur[:, None])[:, 0]
-        rows.append(cur)
-        k += 1
+    krylov = gfq.Echelon(field, track=M.shape[0] + 1)
+    w = np.asarray(v, dtype=np.int16)
+    while krylov.add(w):
+        w = field.matmul(M, w[:, None])[:, 0]
+    # the relation is sum c[i] M^i v == 0 with c == 1 at the top power
+    return polys.monic(field, polys.normalize(krylov.relation))
 
 
 def eval_poly_at_matrix(field, f, M):
@@ -87,15 +64,10 @@ def eval_poly_at_matrix(field, f, M):
     return acc
 
 
-def rref_rows(field, rows):
-    R, piv = gfq.echelon(field, rows)
-    return R, piv
-
-
 def spin_rref(field, mats, seeds):
     """Invariant span of seed row-vectors, returned in reduced echelon form."""
     B, _, _ = gfq.spin_basis(field, mats, seeds)
-    return rref_rows(field, B)
+    return gfq.echelon(field, B)
 
 
 def split_once(field, mats, rng, tries=60):
@@ -138,7 +110,7 @@ def split_once(field, mats, rng, tries=60):
             if B.shape[0] == n:
                 return ("irreducible", None, None)
             sub = gfq.nullspace(field, B)
-            R, piv = rref_rows(field, sub)
+            R, piv = gfq.echelon(field, sub)
             assert 0 < R.shape[0] < n
             return ("split", R, piv)
     raise RuntimeError("meataxe made no progress after %d tries" % tries)
@@ -160,7 +132,7 @@ def _singular_endo_split(field, mats, rng):
     for X in cands:
         ker = gfq.nullspace(field, X)
         if 0 < ker.shape[0] < n:
-            return ("split", *rref_rows(field, ker))
+            return ("split", *gfq.echelon(field, ker))
     return None
 
 
@@ -193,7 +165,7 @@ def quotient_by_submodule(field, mats, basis, pivots):
     return out, P
 
 
-def hom_space(field, mats_m, mats_n, seeds=None):
+def hom_space(field, mats_m, mats_n):
     """Basis of intertwiners X with X @ A_g == B_g @ X, as a list of
     (dim_n x dim_m) matrices.
 
@@ -205,57 +177,17 @@ def hom_space(field, mats_m, mats_n, seeds=None):
     dn = module_dim(mats_n)
     if dm == 0 or dn == 0:
         return []
-    # greedy generating set of the source module
-    raws = []        # raw spin vectors, as columns of the matrix R below
-    tags = []        # ('seed', s) or ('mul', g, parent)
-    basis = []       # echelonized rows for span testing
-    pivots = []
-    tree_edges = {}
-
-    def reduce_row(v):
-        v = v.copy()
-        for brow, bp in zip(basis, pivots):
-            c = v[bp]
-            if c:
-                v = field.sub(v, field.mul(np.int16(c), brow))
-        return v
-
-    def try_add(v, tag):
-        red = reduce_row(v)
-        nz = np.nonzero(red)[0]
-        if len(nz) == 0:
-            return False
-        piv = int(nz[0])
-        basis.append(field.mul(np.int16(field.inv(int(red[piv]))), red))
-        pivots.append(piv)
-        raws.append(v)
-        tags.append(tag)
-        return True
-
-    nseeds = 0
-    seed_list = list(seeds) if seeds is not None else []
-    sidx = 0
-    while len(raws) < dm:
-        if sidx < len(seed_list):
-            cand = np.asarray(seed_list[sidx], dtype=np.int16)
-            sidx += 1
-        else:
-            free = [c for c in range(dm) if c not in set(pivots)]
-            cand = np.zeros(dm, dtype=np.int16)
-            cand[free[0]] = 1
-        if not try_add(cand, ("seed", nseeds)):
-            continue
-        nseeds += 1
-        qi = len(raws) - 1
-        queue = [qi]
-        while queue:
-            i = queue.pop(0)
-            for g, M in enumerate(mats_m):
-                w = field.matmul(M, raws[i][:, None])[:, 0]
-                if try_add(w, ("mul", g, i)):
-                    j = len(raws) - 1
-                    tree_edges[(g, i)] = j
-                    queue.append(j)
+    # greedy generating set of the source module: each seed is the first
+    # unit vector outside the span so far.  This order fixes the returned
+    # basis, which End(M) and the simple labels in the reports depend on.
+    spin = gfq.Spin(field, mats_m)
+    while len(spin.raws) < dm:
+        pivset = set(spin.basis.pivots)
+        cand = np.zeros(dm, dtype=np.int16)
+        cand[next(c for c in range(dm) if c not in pivset)] = 1
+        spin.seed(cand)
+    raws, tags, nseeds = spin.raws, spin.tree, spin.nseeds
+    tree_edges = {(t[1], t[2]) for t in tags if t[0] == "mul"}
 
     R = np.array(raws, dtype=np.int16).T  # columns are the spin vectors
     Rinv = gfq.inverse(field, R)
@@ -289,12 +221,10 @@ def hom_space(field, mats_m, mats_n, seeds=None):
     else:
         sol = np.eye(U, dtype=np.int16)
     out = []
-    RinvT = Rinv
     for u in sol:
         cols = [field.matmul(Phi[j], u[:, None])[:, 0] for j in range(dm)]
         P = np.array(cols, dtype=np.int16).T  # X @ R
-        X = field.matmul(P, RinvT)
-        out.append(X)
+        out.append(field.matmul(P, Rinv))
     return out
 
 
@@ -373,7 +303,7 @@ def module_radical(field, mats, seed=0, simples=None):
             rows.append(X)
     if not rows:
         return np.zeros((0, n), dtype=np.int16), []
-    R, piv = rref_rows(field, gfq.nullspace(field, np.vstack(rows)))
+    R, piv = gfq.echelon(field, gfq.nullspace(field, np.vstack(rows)))
     return R, piv
 
 
@@ -388,7 +318,7 @@ def module_socle(field, mats, seed=0, simples=None):
             rows.append(X.T)
     if not rows:
         return np.zeros((0, n), dtype=np.int16), []
-    return rref_rows(field, np.vstack(rows))
+    return gfq.echelon(field, np.vstack(rows))
 
 
 def radical_series(field, mats, seed=0):
@@ -405,13 +335,13 @@ def radical_series(field, mats, seed=0):
     cur_mats = mats
     cur_basis = np.eye(n, dtype=np.int16)
     while module_dim(cur_mats) > 0:
-        R, piv = module_radical(field, cur_mats, seed)
+        # every composition factor of rad^i M is one of M
+        R, piv = module_radical(field, cur_mats, seed, simples=simples)
         quo, _ = quotient_by_submodule(field, cur_mats, R, piv)
         layers.append(composition_factors(field, quo, seed))
         if R.shape[0] == 0:
             break
-        cur_basis = rref_rows(field, field.matmul(R, cur_basis))[0]
+        cur_basis = gfq.echelon(field, field.matmul(R, cur_basis))[0]
         chain.append(cur_basis)
         cur_mats = restrict_to_submodule(field, cur_mats, R, piv)
-    del simples
     return layers, chain

@@ -416,25 +416,6 @@ def _sylow_cached(group, p):
     return group._sylow_cache[p]
 
 
-def coinvariants(m, right_mats, subgroup_order=None):
-    """Quotient of m by the span of {v*q - v} for the commuting right action
-    generated by right_mats.  Returns (quotient GModule, projection rows)."""
-    F = m.field
-    d = m.dim
-    for R in right_mats:
-        for L in m.mats:
-            assert np.array_equal(F.matmul(L, R), F.matmul(R, L)), \
-                "right action does not commute"
-    rows = [F.sub(R, np.eye(d, dtype=np.int16)).T for R in right_mats]
-    seeds = np.vstack(rows) if rows else np.zeros((0, d), dtype=np.int16)
-    W, piv = meataxe.spin_rref(F, right_mats, seeds) if rows else \
-        (np.zeros((0, d), dtype=np.int16), [])
-    quo_mats, P = meataxe.quotient_by_submodule(F, m.mats, W, piv)
-    quo = GModule(m.group, F, quo_mats,
-                  name="coinv(%s)" % (m.name or "M"))
-    return quo, P
-
-
 # ---------------------------------------------------------------------------
 # reports
 

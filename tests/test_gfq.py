@@ -92,15 +92,16 @@ def test_solve_and_inverse():
     assert np.array_equal(F.matmul(A, X), B)
 
 
-def test_fqmatrix_wrapper():
+def test_rref_rank_nullspace_gf4():
     F = gfq.GF.get(2, 2)
-    A = gfq.FqMatrix(F, [[1, 2, 3], [2, 3, 1], [3, 1, 2]])
-    R, piv, r = A.rref()
-    assert r == len(piv) == A.rank()
-    N = A.nullspace_basis()
+    A = np.array([[1, 2, 3], [2, 3, 1], [3, 1, 2]], dtype=np.int16)
+    R, piv = gfq.echelon(F, A)
+    r = R.shape[0]
+    assert r == len(piv) == gfq.rank(F, A)
+    N = gfq.nullspace(F, A)
     assert N.shape[0] == 3 - r
-    ident = gfq.FqMatrix.identity(F, 3)
-    assert ident.rank() == 3
+    ident = np.eye(3, dtype=np.int16)
+    assert gfq.rank(F, ident) == 3
 
 
 def test_spin_basis_closure():
@@ -113,3 +114,50 @@ def test_spin_basis_closure():
     assert basis.shape[0] == 4
     spanned = gfq.rank(F, np.vstack([basis, F.matmul(basis, M.T)]))
     assert spanned == basis.shape[0]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 2)])
+def test_spin_basis_several_seeds(p, e):
+    F = gfq.GF.get(p, e)
+    rng = np.random.default_rng(4)
+    # block-diagonal action, so one seed per block spans a proper submodule
+    n = 6
+    mats = []
+    for _ in range(2):
+        M = np.zeros((n, n), dtype=np.int16)
+        M[:3, :3] = rng.integers(0, F.q, (3, 3))
+        M[3:, 3:] = rng.integers(0, F.q, (3, 3))
+        mats.append(M)
+    seeds = np.zeros((3, n), dtype=np.int16)
+    seeds[0, 0] = 1
+    seeds[1, 4] = 1
+    seeds[2, 0] = 1  # already in the span: not a new seed
+    basis, piv, tree = gfq.spin_basis(F, mats, seeds)
+    # the span is invariant
+    for M in mats:
+        moved = F.matmul(basis, M.T)
+        assert gfq.rank(F, np.vstack([basis, moved])) == basis.shape[0]
+    # the tree numbers accepted seeds only
+    seed_tags = [t for t in tree if t[0] == "seed"]
+    assert seed_tags == [("seed", 0), ("seed", 1)]
+    assert len(piv) == len(set(piv)) == basis.shape[0]
+    # the reduced echelon form of the span does not depend on seed order
+    ref = gfq.echelon(F, basis)
+    for order in ([1, 0, 2], [2, 1, 0]):
+        other, _p, _t = gfq.spin_basis(F, mats, seeds[order])
+        R, P = gfq.echelon(F, other)
+        assert P == ref[1] and np.array_equal(R, ref[0])
+
+
+def test_echelon_engine_relation():
+    F = gfq.GF.get(7)
+    rng = np.random.default_rng(2)
+    vecs = rng.integers(0, 7, (3, 5)).astype(np.int16)
+    dep = F.add(F.mul(np.int16(3), vecs[0]), F.mul(np.int16(5), vecs[2]))
+    eng = gfq.Echelon(F, track=4)
+    assert all(eng.add(v) for v in vecs)
+    assert not eng.add(dep)
+    rel = eng.relation
+    assert rel[3] == 1
+    combo = F.sum(F.mul(rel[:, None], np.vstack([vecs, dep])), axis=0)
+    assert not combo.any()

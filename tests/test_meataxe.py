@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from blockperm import gfq, meataxe
+from blockperm import gfq, meataxe, polys
 from blockperm.permgrp import PermGroup
 from blockperm.modules import GModule
 
@@ -107,3 +109,53 @@ def test_iso_of_indecomposables():
     inv = gfq.inverse(F, iso)
     for M in m.mats:
         assert np.array_equal(F.matmul(F.matmul(iso, M), inv), M)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (7, 1), (2, 2), (3, 2), (2, 8)])
+def test_vector_annihilator(p, e):
+    F = gfq.GF.get(p, e)
+    rng = np.random.default_rng(p * 10 + e)
+    n = 6
+    A = rng.integers(0, F.q, (3, 3)).astype(np.int16)
+    blockdiag = np.zeros((n, n), dtype=np.int16)
+    blockdiag[:3, :3] = A
+    blockdiag[3:, 3:] = A
+    cases = [rng.integers(0, F.q, (n, n)).astype(np.int16), blockdiag,
+             np.eye(n, dtype=np.int16)]
+    for M in cases:
+        v = rng.integers(0, F.q, n).astype(np.int16)
+        v[0] = 1
+        f = meataxe.vector_annihilator(F, M, v)
+        assert f[-1] == 1
+        fM = meataxe.eval_poly_at_matrix(F, f, M)
+        assert not F.matmul(fM, v[:, None]).any()
+        krylov = [v]
+        for _ in range(n):
+            krylov.append(F.matmul(M, krylov[-1][:, None])[:, 0])
+        assert polys.degree(f) == gfq.rank(F, np.array(krylov))
+
+
+def _hom_digest(homs):
+    h = hashlib.sha1()
+    for X in homs:
+        h.update(np.ascontiguousarray(X, dtype=np.int16).tobytes())
+    return len(homs), h.hexdigest()
+
+
+def test_hom_space_pinned_bases():
+    """The hom bases feed End(M) and the simple labels in the golden
+    reports, so their order and entries are pinned, not only their span."""
+    F = gfq.GF.get(3)
+    g = PermGroup.symmetric(4)
+    src = GModule.permutation(g, g.sylow_subgroup(2), F).direct_sum(
+        GModule.permutation(g, g.subgroup([g.generators[0]]), F))
+    dst = GModule.permutation(g, g.sylow_subgroup(3), F)
+    assert _hom_digest(meataxe.hom_space(F, src.mats, dst.mats)) == \
+        (5, "11ea159642d62e054116e1ea82e85cba3f45d1da")
+    F = gfq.GF.get(2, 8)
+    g = PermGroup.alternating(4)
+    src = GModule.permutation(g, g.sylow_subgroup(3), F).direct_sum(
+        GModule.trivial(g, F))
+    dst = GModule.regular(g, F)
+    assert _hom_digest(meataxe.hom_space(F, src.mats, dst.mats)) == \
+        (5, "6f7866b7ccb8377744c6e6c64c9d1b942c6308b2")
