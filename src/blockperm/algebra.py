@@ -42,9 +42,6 @@ class FinDimAlgebra:
 
     # -- element arithmetic --
 
-    def lmul_matrix(self, i):
-        return self.mult[i].T.copy()
-
     def left_mats(self):
         if self._lmats is None:
             self._lmats = [self.mult[i].T.copy() for i in range(self.dim)]

@@ -4,12 +4,21 @@ The group algebra kG is handled through index tables rather than structure
 constant tensors: elements of kG are coefficient vectors over the sorted
 element list, and multiplication facts are encoded in the table
 M1[g, h] = index(g^-1 h).  A row of vec[M1] is then the left translate
-g * vec, so left ideals, fixed-point algebras and coinvariant quotients all
-reduce to integer gathers followed by echelon calls.
+g * vec, so the fixed-point algebra B^P is an integer gather followed by an
+echelon call.
 
 Blocks are found as the primitive idempotents of the center, which is small
 (one dimension per conjugacy class) even when kG itself is large.
+
+Block-level modules live on permutation modules, not on the |G|-dimensional
+ideal kG e.  For x in kG commuting with H (e, or a source idempotent i of
+B^P with H = P), kG x tensor_kH k is kG x[H] inside k[G/H], x[H] being the
+image of x under g -> gH; two-sided coinvariants are images in k[H\\G/H].
+The ideal route (ideal_rows, right_translation_mats, source_corner_rows)
+stays as an independent reference.
 """
+
+import weakref
 
 import numpy as np
 
@@ -17,8 +26,8 @@ from . import gfq
 from . import meataxe
 from . import polys
 from .algebra import FinDimAlgebra
-from .modules import GModule
-from .permgrp import Perm
+from .modules import GModule, coset_map
+from .permgrp import Perm, ResourceCap
 
 # past this order the n x n echelon work is only viable with the BLAS-backed
 # prime-field path
@@ -34,7 +43,7 @@ class GroupAlgebra:
         self.elems = group.elements()
         self.n = len(self.elems)
         if field.e > 1 and self.n > GENERIC_FIELD_ORDER_LIMIT:
-            raise ValueError(
+            raise ResourceCap(
                 "group of order %d needs a prime field for block work"
                 % self.n)
         self.idx = {g.img: i for i, g in enumerate(self.elems)}
@@ -44,6 +53,7 @@ class GroupAlgebra:
         self._classes = None
         self._center = None
         self._blocks = None
+        self._cosets = {}
 
     # -- index tables --
 
@@ -110,9 +120,6 @@ class GroupAlgebra:
             out = F.add(out, F.mul(np.int16(x[g]), y[self.M1[int(g)]]))
         return out
 
-    def augmentation(self, x):
-        return int(self.field.sum(np.asarray(x, dtype=np.int16)))
-
     # -- conjugacy classes and the center --
 
     def conjugacy_classes(self):
@@ -120,26 +127,10 @@ class GroupAlgebra:
         so the identity class comes first."""
         if self._classes is not None:
             return self._classes
-        n = self.n
         conj = [self.conj_index(s) for s in self.group.generators]
-        class_of = np.full(n, -1, dtype=np.int32)
-        lists = []
-        for start in range(n):
-            if class_of[start] >= 0:
-                continue
-            c = len(lists)
-            members = [start]
-            class_of[start] = c
-            qi = 0
-            while qi < len(members):
-                g = members[qi]
-                qi += 1
-                for arr in conj:
-                    g2 = int(arr[g])
-                    if class_of[g2] < 0:
-                        class_of[g2] = c
-                        members.append(g2)
-            lists.append(np.array(sorted(members), dtype=np.int32))
+        class_of = _orbit_labels(conj, self.n)
+        lists = [np.nonzero(class_of == c)[0].astype(np.int32)
+                 for c in range(class_of.max() + 1)]
         self._classes = (class_of, lists)
         return self._classes
 
@@ -176,31 +167,28 @@ class GroupAlgebra:
     # -- blocks --
 
     def blocks(self, seed=0):
+        """The blocks, principal first.  Blocks hold the algebra, which keeps
+        their idempotents and results but the Blocks only weakly: dropping
+        both frees the n x n tables at once, without a full collection."""
         if self._blocks is None:
-            Z = self.center_algebra()
-            prims = Z.primitive_idempotents(seed=seed)
-            out = []
-            for coords in prims:
-                out.append(Block(self, coords))
-            # principal block first, rest by ascending smallest support index
-            out.sort(key=lambda b: (not b.is_principal,
+            prims = self.center_algebra().primitive_idempotents(seed=seed)
+            new = [Block(self, c, {}) for c in prims]
+            new.sort(key=lambda b: (not b.is_principal,
                                     int(np.nonzero(b.evec)[0][0])))
-            self._blocks = out
-        return self._blocks
+            self._blocks = [[b.coords, b._cache, weakref.ref(b)] for b in new]
+        out = []
+        for entry in self._blocks:
+            b = entry[2]()
+            if b is None:  # nothing holds this Block any more
+                b = Block(self, entry[0], entry[1])
+                entry[2] = weakref.ref(b)
+            out.append(b)
+        return out
 
     def ideal_rows(self, vec):
         """RREF basis of the left ideal kG*vec (rows are g*vec)."""
         T = np.asarray(vec, dtype=np.int16)[self.M1]
         return gfq.echelon(self.field, T)
-
-    def left_module_on_rows(self, rows, piv):
-        """GModule on a left-ideal row basis, acting through the generators."""
-        mats = []
-        for s in self.group.generators:
-            linv = self.lmul_index(s.inv())
-            img = rows[:, linv]       # rows of s * basis vectors
-            mats.append(img[:, piv].T.copy())
-        return GModule(self.group, self.field, mats)
 
     def right_translation_mats(self, rows, piv, elements):
         """Matrices of v -> v*u on the coordinates of a right-stable row
@@ -214,6 +202,54 @@ class GroupAlgebra:
             assert np.array_equal(back, img), "row space not right-stable"
             out.append(coords.T.copy())
         return out
+
+    # -- permutation modules k[G/H] --
+
+    def cosets(self, h):
+        """(k[G/H], cos), cached per subgroup: cos[j, t] is the index of
+        reps[j] * h_t, so cos[:, 0] indexes the coset representatives."""
+        key = _subgroup_key(h)
+        if key not in self._cosets:
+            perm = GModule.permutation(self.group, h, self.field)
+            reps = np.array([r.img for r in perm.tags], dtype=np.int32)
+            hel = np.array([u.img for u in h.elements()], dtype=np.int32)
+            cos = self._lookup_rows(reps[:, hel].reshape(self.n, -1))
+            self._cosets[key] = (perm, cos.reshape(len(reps), -1))
+        return self._cosets[key]
+
+    def coset_submodule(self, x, h):
+        """kG x[H] inside k[G/H] as (GModule, rows, pivots), for x in kG
+        commuting with H.  Then x[H] is H-fixed, and kG x[H] is the image
+        of the endomorphism gH -> g x[H] of k[G/H]."""
+        F = self.field
+        perm, cos = self.cosets(h)
+        xbar = F.sum(np.asarray(x, dtype=np.int16)[cos], axis=1)
+        rows, piv = gfq.echelon(F, coset_map(perm, perm, xbar).T)
+        mats = meataxe.restrict_to_submodule(F, perm.mats, rows, piv)
+        return GModule(self.group, F, mats, dim=len(piv)), rows, piv
+
+    def left_mult_on_cosets(self, x, h):
+        """Matrix of v -> x v on k[G/H]: column j is x reps[j] summed over
+        each coset, where (x r)[g] = x[g r^-1] = x[M1[inv[g], inv[r]]]."""
+        F = self.field
+        _perm, cos = self.cosets(h)
+        inv = self.inv_index()
+        x = np.asarray(x, dtype=np.int16)
+        left = inv[cos]
+        cols = [F.sum(x[self.M1[left, inv[r]]], axis=1) for r in cos[:, 0]]
+        return np.array(cols, dtype=np.int16).T
+
+    def double_coset_rank(self, rows, h):
+        """Rank of rows (vectors of k[G/H]) summed over each H-orbit of
+        cosets, i.e. projected onto k[H\\G/H]: the dimension of the
+        H-coinvariants of their span when that is a kH-summand of k[G/H]."""
+        _perm, cos = self.cosets(h)
+        coset_of = np.empty(self.n, dtype=np.int64)
+        coset_of[cos] = np.arange(len(cos))[:, None]
+        moves = [coset_of[self.lmul_index(u)[cos[:, 0]]] for u in h.generators]
+        orbit = _orbit_labels(moves, len(cos))
+        sums = (orbit[:, None] == np.arange(orbit.max() + 1)).astype(np.int16)
+        return gfq.rank(self.field, self.field.matmul(rows, sums))
 
     def central_character(self, evec_coords):
         """For a block idempotent in class-sum coords: the scalar by which
@@ -241,36 +277,52 @@ def _subgroup_key(h):
     return (h.order(), tuple(g.img for g in h.generators))
 
 
+def _orbit_labels(maps, n):
+    """Orbit number of each of 0..n-1 under index maps (permutations of
+    range(n)); orbits are numbered in the order of their least members."""
+    label = np.arange(n)
+    while True:
+        nxt = np.minimum.reduce([label] + [label[m] for m in maps])
+        if np.array_equal(nxt, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = nxt
+
+
 class Block:
     """A block of kG: the ideal generated by a primitive central idempotent."""
 
-    def __init__(self, ga, coords):
+    def __init__(self, ga, coords, cache):
         self.ga = ga
         self.coords = np.asarray(coords, dtype=np.int16)  # class-sum coords
         self.evec = ga.class_vector(self.coords)
-        self.is_principal = ga.augmentation(self.evec) == 1
-        self._rows = None
-        self._dim = None
-        self._defect = None
-        self._char = None
-        self._fpa = {}
-        self._source = {}
+        self.is_principal = int(ga.field.sum(self.evec)) == 1
+        # results kept by ga for this block, none of which refers to ga
+        self._cache = cache
+        self._fpa = cache.setdefault("fpa", {})
+        self._source = cache.setdefault("source", {})
+        self._cosets = cache.setdefault("cosets", {})
 
-    def rows(self):
-        if self._rows is None:
-            self._rows = self.ga.ideal_rows(self.evec)
-        return self._rows
+    def _on_cosets(self, h, seed=None):
+        """(GModule, rows, pivots) for B tensor_kH k = kG e[H] inside
+        k[G/H]; with a seed, for Bi tensor_kH k = kG i[H] with i the source
+        idempotent of B^H at that seed.  Cached per subgroup and seed."""
+        key = (_subgroup_key(h), seed)
+        if key not in self._cosets:
+            x = self.evec if seed is None else \
+                self.source_idempotent(h, seed=seed)
+            self._cosets[key] = self.ga.coset_submodule(x, h)
+        return self._cosets[key]
 
     @property
     def dim(self):
-        if self._dim is None:
-            self._dim = self.rows()[0].shape[0]
-        return self._dim
+        """|S| dim(e k[G/S]) for a Sylow p-subgroup S: B is free over kS."""
+        s = self.ga.group.sylow_subgroup(self.ga.field.p)
+        return s.order() * self._on_cosets(s)[0].dim
 
     def central_character(self):
-        if self._char is None:
-            self._char = self.ga.central_character(self.coords)
-        return self._char
+        if "char" not in self._cache:
+            self._cache["char"] = self.ga.central_character(self.coords)
+        return self._cache["char"]
 
     def brauer_quotient_nonzero(self, q):
         """Whether the image of the block idempotent under truncation to
@@ -281,22 +333,15 @@ class Block:
 
     def defect_group(self):
         """A maximal p-subgroup with nonzero Brauer quotient (unique class)."""
-        if self._defect is None:
+        if "defect" not in self._cache:
             classes = self.ga.group.p_subgroups_up_to_conjugacy(self.ga.field.p)
             best = None
             for q in classes:
                 if self.brauer_quotient_nonzero(q):
                     if best is None or q.order() > best.order():
                         best = q
-            self._defect = best.with_small_generators()
-        return self._defect
-
-    def module(self):
-        """The block as a left kG-module."""
-        rows, piv = self.rows()
-        m = self.ga.left_module_on_rows(rows, piv)
-        m.name = "block ideal"
-        return m
+            self._cache["defect"] = best.with_small_generators()
+        return self._cache["defect"]
 
     # -- fixed points under a p-group and the source idempotent --
 
@@ -314,30 +359,10 @@ class Block:
         F = ga.field
         n = ga.n
         T = np.asarray(self.evec, dtype=np.int16)[ga.M1]  # row g is g*e
-        orbit_of = np.full(n, -1, dtype=np.int32)
-        conj = [ga.conj_index(s) for s in p_sub.generators]
-        orbits = []
-        for start in range(n):
-            if orbit_of[start] >= 0:
-                continue
-            members = [start]
-            orbit_of[start] = len(orbits)
-            qi = 0
-            while qi < len(members):
-                g = members[qi]
-                qi += 1
-                for arr in conj:
-                    g2 = int(arr[g])
-                    if orbit_of[g2] < 0:
-                        orbit_of[g2] = len(orbits)
-                        members.append(g2)
-            orbits.append(members)
-        sums = np.zeros((len(orbits), n), dtype=np.int16)
-        for o, members in enumerate(orbits):
-            acc = T[members[0]]
-            for g in members[1:]:
-                acc = F.add(acc, T[g])
-            sums[o] = acc
+        orbit_of = _orbit_labels([ga.conj_index(s) for s in p_sub.generators],
+                                 n)
+        sums = np.array([F.sum(T[orbit_of == o], axis=0)
+                         for o in range(orbit_of.max() + 1)], dtype=np.int16)
         rows, piv = gfq.echelon(F, sums)
         d = rows.shape[0]
         mult = np.zeros((d, d, d), dtype=np.int16)
@@ -369,39 +394,17 @@ class Block:
 
     # -- coinvariant modules --
 
-    def _coinvariants_of_rows(self, rows, piv, subgroup):
-        """(GModule, projection) for span(rows) / span{v*u - v : u in H}."""
-        ga = self.ga
-        F = ga.field
-        elems = [u for u in subgroup.elements() if u.order() > 1]
-        rmats = ga.right_translation_mats(rows, piv, elems)
-        d = rows.shape[0]
-        diffs = np.vstack([F.sub(R, np.eye(d, dtype=np.int16)).T
-                           for R in rmats])
-        W, wpiv = gfq.echelon(F, diffs)
-        left = ga.left_module_on_rows(rows, piv)
-        quo_mats, P = meataxe.quotient_by_submodule(F, left.mats, W, wpiv)
-        quo = GModule(ga.group, F, quo_mats, dim=d - W.shape[0])
-        return quo, P
-
     def source_permutation_module(self, p_sub, seed=0):
-        """Bi tensored over kP with the trivial module, for the source
-        idempotent i of B^P."""
-        ivec = self.source_idempotent(p_sub, seed=seed)
-        rows, piv = self.ga.ideal_rows(ivec)
-        quo, _ = self._coinvariants_of_rows(rows, piv, p_sub)
-        quo.name = "source permutation module"
-        return quo
+        """Bi tensor_kP k = kG i[P], for the source idempotent i of B^P.
 
-    def sylow_coinvariants_module(self, sylow):
-        """B tensored over kS with the trivial module."""
-        rows, piv = self.rows()
-        quo, _ = self._coinvariants_of_rows(rows, piv, sylow)
-        quo.name = "block Sylow coinvariants"
-        return quo
+        It is a summand of k[G/P] because i commutes with P, so kGi is a
+        kG-kP summand of kG (Prop. 8.3, Lemma 9.1)."""
+        m = self._on_cosets(p_sub, seed=seed)[0]
+        m.name = "source permutation module"
+        return m
 
     def block_sylow_module(self, sylow):
-        """B tensor_kS k for a full Sylow p-subgroup S of G.
+        """B tensor_kS k = e k[G/S] for a full Sylow p-subgroup S of G.
 
         The isomorphism class does not depend on which Sylow subgroup is
         passed (they are all conjugate), so a conjugate of the defect group
@@ -413,7 +416,9 @@ class Block:
             part *= p
             order //= p
         assert sylow.order() == part, "subgroup is not a Sylow p-subgroup"
-        return self.sylow_coinvariants_module(sylow)
+        m = self._on_cosets(sylow)[0]
+        m.name = "block Sylow coinvariants"
+        return m
 
     def source_corner_rows(self, p_sub, seed=0):
         """(rows, pivots) spanning the corner iBi inside kG.
@@ -437,10 +442,15 @@ class Block:
         """Number of P-P orbits on a P-P-stable basis of the corner iBi.
 
         For a p-permutation bimodule this equals the dimension of its
-        two-sided P-coinvariants, which is what is computed here.
+        two-sided P-coinvariants k tensor_P iBi tensor_P k.  Since i
+        commutes with P, iBi tensor_P k = i (Bi tensor_P k) is a kP-summand
+        of k[G/P], so that dimension is read off in k[P\\G/P].
         """
-        rows, piv = self.source_corner_rows(p_sub, seed=seed)
-        return self.two_sided_coinvariant_dim(p_sub, rows_piv=(rows, piv))
+        ga = self.ga
+        _m, rows, _piv = self._on_cosets(p_sub, seed=seed)
+        ivec = self.source_idempotent(p_sub, seed=seed)
+        corner = ga.field.matmul(rows, ga.left_mult_on_cosets(ivec, p_sub).T)
+        return ga.double_coset_rank(corner, p_sub)
 
     def is_nilpotent_hint(self):
         """Cheap sufficient condition for the block being nilpotent at its
@@ -452,26 +462,12 @@ class Block:
         meet = len(p_sub.element_set() & cent.element_set())
         return norm.order() * meet == p_sub.order() * cent.order()
 
-    def two_sided_coinvariant_dim(self, subgroup, rows_piv=None):
+    def two_sided_coinvariant_dim(self, subgroup):
         """dim of k tensor_H B tensor_H k: the quotient of the block by all
-        u*b - b and b*u - b.
-
-        With rows_piv given, the same quotient of that H-H-stable subspace
-        of kG instead of the whole block."""
-        ga = self.ga
-        F = ga.field
-        rows, piv = self.rows() if rows_piv is None else rows_piv
-        d = rows.shape[0]
-        elems = [u for u in subgroup.elements() if u.order() > 1]
-        stacks = []
-        for R in ga.right_translation_mats(rows, piv, elems):
-            stacks.append(F.sub(R, np.eye(d, dtype=np.int16)).T)
-        for u in elems:
-            linv = ga.lmul_index(u.inv())
-            img = rows[:, linv]
-            L = img[:, piv].T
-            stacks.append(F.sub(L, np.eye(d, dtype=np.int16)).T)
-        return d - gfq.rank(F, np.vstack(stacks))
+        u*b - b and b*u - b, read off as the image of the kG-summand
+        B tensor_H k = e k[G/H] of k[G/H] in k[H\\G/H]."""
+        _m, rows, _piv = self._on_cosets(subgroup)
+        return self.ga.double_coset_rank(rows, subgroup)
 
     def number_of_simples(self, sylow, seed=0):
         """l(B): distinct composition factors of the Sylow coinvariants of B.
@@ -479,7 +475,7 @@ class Block:
         Every simple module of the block is a quotient of B tensor_S k: a
         nonzero fixed point of S on a simple gives a surjection from it.
         """
-        m = self.sylow_coinvariants_module(sylow)
+        m = self.block_sylow_module(sylow)
         return len(meataxe.composition_factors(m.field, m.mats, seed=seed))
 
     def brauer_correspondent(self, p_sub, seed=0):

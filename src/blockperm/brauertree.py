@@ -198,22 +198,6 @@ def _orbit_of(perm, e):
     return orb
 
 
-def _orbits(perm, edges):
-    seen = set()
-    out = []
-    for e in edges:
-        if e in seen:
-            continue
-        orb = [e]
-        x = perm[e]
-        while x != e:
-            orb.append(x)
-            x = perm[x]
-        seen.update(orb)
-        out.append(orb)
-    return out
-
-
 def projective_loewy(tree, edge):
     """Loewy layers of the projective indecomposable attached to an edge.
 

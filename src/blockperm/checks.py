@@ -19,7 +19,7 @@ from . import gfq
 from . import modules
 from . import symchars
 from . import vertexweight
-from .permgrp import Perm, PermGroup, parse_group
+from .permgrp import Perm, PermGroup, ResourceCap, parse_group
 
 
 class Context:
@@ -115,7 +115,7 @@ def run_check(spec, seed=0, ctx=None):
     t0 = time.time()
     try:
         spec.fn(rep, ctx, seed)
-    except ValueError as exc:
+    except ResourceCap as exc:
         rep.add("resource-cap", False, str(exc))
     rep.wall_time = time.time() - t0
     return rep

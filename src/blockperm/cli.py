@@ -4,7 +4,9 @@ Groups are named with a small spec language (sym:n, alt:n, cyclic:n,
 sylow:sym:n:p, json:FILE, or inline JSON), fields as p or p^e.  Every
 subcommand takes --seed for the random choices and --json/--pretty for
 machine-readable output.  Exit status: 0 on success, 1 when a requested
-check or property fails, 2 on usage errors.
+check or property fails, 2 on usage errors and bad input, 3 when an internal
+certificate fails (AssertionError, RuntimeError), 4 when the input would
+exceed a size cap (ResourceCap).
 """
 
 import argparse
@@ -19,7 +21,7 @@ from . import gfq
 from . import modules
 from . import symchars
 from . import vertexweight
-from .permgrp import PermGroup, parse_group
+from .permgrp import PermGroup, ResourceCap, parse_group
 
 
 def _emit(args, payload, human=None):
@@ -78,7 +80,8 @@ def _decompose_target(args, g, field):
 
 def _subgroup_of(g, spec):
     h = parse_group(spec)
-    assert h.degree == g.degree, "subgroup degree mismatch"
+    if h.degree != g.degree:
+        raise ValueError("subgroup degree mismatch")
     return h
 
 
@@ -100,6 +103,8 @@ def cmd_source_perm(args):
     g, field = _group_field(args)
     ga = blocks.GroupAlgebra(g, field)
     blist = ga.blocks(seed=args.seed)
+    if args.block is not None and not 0 <= args.block < len(blist):
+        raise ValueError("no block %d: kG has %d" % (args.block, len(blist)))
     b = blist[args.block] if args.block is not None else \
         [x for x in blist if x.is_principal][0]
     spm = b.source_permutation_module(b.defect_group(), seed=args.seed)
@@ -180,7 +185,8 @@ def cmd_chars(args):
             h = PermGroup.sylow_of_symmetric(n, int(spec.split(":")[1]))
         else:
             h = parse_group(spec)
-            assert h.degree == n, "subgroup degree mismatch"
+            if h.degree != n:
+                raise ValueError("subgroup degree mismatch")
     else:
         h = PermGroup.cyclic(n)
     mult = symchars.perm_character_multiplicities(n, h)
@@ -297,9 +303,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, AssertionError, OSError) as exc:
+    except ResourceCap as exc:
+        print("resource cap: %s" % exc, file=sys.stderr)
+        return 4
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (AssertionError, RuntimeError) as exc:
+        print("internal error: %r" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

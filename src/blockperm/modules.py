@@ -43,10 +43,6 @@ class GModule:
         return m
 
     @staticmethod
-    def from_matrices(group, field, mats, name=None):
-        return GModule(group, field, mats, name=name)
-
-    @staticmethod
     def permutation(group, subgroup, field):
         """k[G/H] on the left cosets of H."""
         reps, images = group.coset_action(subgroup)
@@ -87,11 +83,9 @@ class GModule:
         word = _generator_word(self.group, g)
         if self.tags is not None:
             # permutation basis: compose index maps instead of matrices
-            if not hasattr(self, "_perm_imgs"):
-                self._perm_imgs = [np.argmax(M, axis=0) for M in self.mats]
             img = np.arange(self.dim)
             for s in reversed(word):
-                img = self._perm_imgs[s][img]
+                img = self.perm_images()[s][img]
             M = np.zeros((self.dim, self.dim), dtype=np.int16)
             M[img, np.arange(self.dim)] = 1
         else:
@@ -101,9 +95,12 @@ class GModule:
         self._repcache[g.img] = M
         return M
 
-    def restrict(self, h):
-        return GModule(h, self.field, [self.rep_of(s) for s in h.generators],
-                       name="res(%s)" % (self.name or "M"), dim=self.dim)
+    def perm_images(self):
+        """On a permutation basis: img[s][i] is the basis vector that
+        generator s sends basis vector i to."""
+        if not hasattr(self, "_perm_imgs"):
+            self._perm_imgs = [np.argmax(M, axis=0) for M in self.mats]
+        return self._perm_imgs
 
     def dual(self):
         mats = [gfq.inverse(self.field, M).T.copy() for M in self.mats]
@@ -184,17 +181,27 @@ def hom_modules(m, n):
         hm = [n.rep_of(s) for s in h.generators]
         fixed = meataxe.fixed_points(F, hm) if hm else \
             np.eye(n.dim, dtype=np.int16)
-        reps, parent, order = m.coset_tree
-        out = []
-        for u in fixed:
-            X = np.zeros((n.dim, m.dim), dtype=np.int16)
-            X[:, 0] = u
-            for j in order[1:]:
-                s, par = parent[j]
-                X[:, j] = F.matmul(n.mats[s], X[:, par][:, None])[:, 0]
-            out.append(X)
-        return out
+        return [coset_map(m, n, u) for u in fixed]
     return meataxe.hom_space(F, m.mats, n.mats)
+
+
+def coset_map(m, n, u):
+    """The kG-map k[G/H] -> n sending the coset H to the H-fixed vector u.
+
+    m is a permutation module from GModule.permutation; column j of the
+    result is g u for any g in the j-th coset, filled along m's coset tree.
+    """
+    F = m.field
+    X = np.zeros((n.dim, m.dim), dtype=np.int16)
+    X[:, 0] = u
+    _reps, parent, order = m.coset_tree
+    for j in order[1:]:
+        s, par = parent[j]
+        if n.tags is not None:  # permutation basis: M v only moves entries
+            X[n.perm_images()[s], j] = X[:, par]
+        else:
+            X[:, j] = F.matmul(n.mats[s], X[:, par][:, None])[:, 0]
+    return X
 
 
 def endomorphism_algebra(m):

@@ -18,6 +18,10 @@ def element_cap():
     return int(os.environ.get("BLOCKPERM_CAP", DEFAULT_CAP))
 
 
+class ResourceCap(ValueError):
+    """The input is valid but would exceed one of the package's size caps."""
+
+
 class Perm:
     __slots__ = ("img",)
 
@@ -153,8 +157,8 @@ class PermGroup:
         self.degree = degree
         gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
         gens = [g for g in gens if not g.is_identity()]
-        for g in gens:
-            assert g.degree == degree
+        if any(g.degree != degree for g in gens):
+            raise ValueError("generator degree differs from %d" % degree)
         self.generators = gens
         self.name = name
         self._chain = None
@@ -238,7 +242,7 @@ class PermGroup:
             cap = cap or element_cap()
             n = self.order()
             if n > cap:
-                raise ValueError(
+                raise ResourceCap(
                     "group of order %d exceeds element cap %d" % (n, cap))
             seen = {Perm.identity(self.degree).img}
             frontier = [Perm.identity(self.degree)]
@@ -294,9 +298,6 @@ class PermGroup:
         grp._elements = self._elements
         grp._index = self._index
         return grp
-
-    def is_abelian(self):
-        return all(a * b == b * a for a in self.generators for b in self.generators)
 
     # -- orbits and cosets --
 

@@ -211,8 +211,7 @@ def weights(group, field, seed=0):
         for c in gaw.blocks(seed=seed):
             if c.defect_group().order() != 1:
                 continue
-            rows, piv = c.rows()
-            block_mod = gaw.left_module_on_rows(rows, piv)
+            block_mod = c.block_sylow_module(wgroup.sylow_subgroup(p))
             facs = meataxe.composition_factors(field, block_mod.mats,
                                                seed=seed)
             assert len(facs) == 1, "defect zero block is not homogeneous"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blockperm import blocks, gfq, modules
-from blockperm.permgrp import PermGroup, parse_group
+from blockperm import blocks, gfq, meataxe, modules
+from blockperm.permgrp import PermGroup, ResourceCap, parse_group
 
 
 def test_group_algebra_convolution_matches_group_law():
@@ -112,15 +112,13 @@ def test_source_idempotent_seed_independence():
 
 
 def test_two_sided_coinvariant_dim_counts_double_cosets():
-    # for the whole group algebra, P\G/P orbits on the group basis
+    # k (x)_P kG (x)_P k = k[P\\G/P] splits over the blocks
     F = gfq.GF.get(5)
     g = PermGroup.symmetric(5)
     ga = blocks.GroupAlgebra(g, F)
-    b = [x for x in ga.blocks(seed=0) if x.is_principal][0]
     p_sub = g.sylow_subgroup(5)
-    full = np.eye(ga.n, dtype=np.int16)
-    dim = b.two_sided_coinvariant_dim(p_sub, (full, list(range(ga.n))))
-    assert dim == len(g.double_cosets(p_sub, p_sub))
+    total = sum(b.two_sided_coinvariant_dim(p_sub) for b in ga.blocks(seed=0))
+    assert total == len(g.double_cosets(p_sub, p_sub))
 
 
 def test_source_orbit_count_equals_end_dim_s5():
@@ -162,3 +160,134 @@ def test_brauer_correspondent_preserves_defect():
     corr_ga, corr = b.brauer_correspondent(p_sub, seed=0)
     assert corr_ga.group.order() == 20
     assert corr.defect_group().order() == 5
+
+
+def test_resource_caps_raise_resource_cap():
+    with pytest.raises(ResourceCap):
+        PermGroup.symmetric(5).elements(cap=100)
+    with pytest.raises(ResourceCap):
+        blocks.GroupAlgebra(PermGroup.symmetric(6), gfq.GF.parse("2^2"))
+
+
+# -- the block-level modules against the |G|-dimensional ideal route --
+
+
+def _translation_mats(ga, rows, piv, elems, side):
+    """Matrices of v -> u v (left) or v -> v u (right) on the coordinates
+    of a row basis of a subspace of kG."""
+    if side == "right":
+        return ga.right_translation_mats(rows, piv, elems)
+    return [rows[:, ga.lmul_index(u.inv())][:, piv].T.copy() for u in elems]
+
+
+def _coinvariants(ga, rows, piv, h):
+    """span(rows) / span{v u - v : u in H} as a kG-module."""
+    F = ga.field
+    d = rows.shape[0]
+    one = np.eye(d, dtype=np.int16)
+    elems = [u for u in h.elements() if u.order() > 1]
+    diffs = [F.sub(R, one).T
+             for R in _translation_mats(ga, rows, piv, elems, "right")]
+    W, wpiv = gfq.echelon(F, np.vstack(diffs)) if diffs else (None, [])
+    left = _translation_mats(ga, rows, piv, ga.group.generators, "left")
+    mats, _proj = meataxe.quotient_by_submodule(F, left, W, wpiv)
+    return modules.GModule(ga.group, F, mats, dim=d - len(wpiv))
+
+
+def _two_sided(ga, rows, piv, h):
+    """dim of span(rows) / span{u v - v, v u - v : u in H}."""
+    F = ga.field
+    d = rows.shape[0]
+    one = np.eye(d, dtype=np.int16)
+    elems = [u for u in h.elements() if u.order() > 1]
+    diffs = [F.sub(M, one).T for side in ("left", "right")
+             for M in _translation_mats(ga, rows, piv, elems, side)]
+    return d - (gfq.rank(F, np.vstack(diffs)) if diffs else 0)
+
+
+def _ideal_route(ga, b, sylow):
+    """(dim B, B (x)_S k, two-sided dim, Bi (x)_P k, P-P orbits of iBi),
+    with every module a quotient of a left ideal of kG."""
+    p_sub = b.defect_group()
+    rows, piv = ga.ideal_rows(b.evec)
+    irows, ipiv = ga.ideal_rows(b.source_idempotent(p_sub, seed=0))
+    corner, cpiv = b.source_corner_rows(p_sub, seed=0)
+    return (rows.shape[0], _coinvariants(ga, rows, piv, sylow),
+            _two_sided(ga, rows, piv, sylow),
+            _coinvariants(ga, irows, ipiv, p_sub),
+            _two_sided(ga, corner, cpiv, p_sub))
+
+
+def _coset_route(b, sylow):
+    p_sub = b.defect_group()
+    return (b.dim, b.block_sylow_module(sylow),
+            b.two_sided_coinvariant_dim(sylow),
+            b.source_permutation_module(p_sub, seed=0),
+            b.source_orbit_count(p_sub, seed=0))
+
+
+@pytest.mark.parametrize("gspec,fspec", [
+    ("sym:4", "2"), ("sym:4", "3"), ("sym:5", "2"), ("sym:5", "3"),
+    ("sym:5", "5"), ("alt:4", "3"), ("alt:5", "3"), ("alt:5", "2^2")])
+def test_coset_route_matches_ideal_route(gspec, fspec):
+    ga = blocks.GroupAlgebra(parse_group(gspec), gfq.GF.parse(fspec))
+    sylow = ga.group.sylow_subgroup(ga.field.p)
+    blist = ga.blocks(seed=0)
+    assert sum(b.dim for b in blist) == ga.n
+    for b in blist:
+        dim, bsm, two, spm, orbits = _coset_route(b, sylow)
+        rdim, rbsm, rtwo, rspm, rorbits = _ideal_route(ga, b, sylow)
+        assert (dim, bsm.dim, two, spm.dim, orbits) == \
+            (rdim, rbsm.dim, rtwo, rspm.dim, rorbits)
+        assert dim == sylow.order() * bsm.dim
+        assert modules.is_isomorphic(bsm, rbsm, seed=0)
+        assert modules.is_isomorphic(spm, rspm, seed=0)
+
+
+def test_coset_route_s5_p5_principal():
+    ga = blocks.GroupAlgebra(PermGroup.symmetric(5), gfq.GF.get(5))
+    b = ga.blocks(seed=0)[0]
+    dim, bsm, two, spm, orbits = _coset_route(b, ga.group.sylow_subgroup(5))
+    assert (dim, bsm.dim, two, spm.dim, orbits) == (70, 14, 6, 14, 6)
+
+
+def test_block_sylow_module_is_computed_once():
+    ga = blocks.GroupAlgebra(PermGroup.symmetric(5), gfq.GF.get(5))
+    b = ga.blocks(seed=0)[0]
+    sylow = ga.group.sylow_subgroup(5)
+    first = b.block_sylow_module(sylow)
+    assert b.dim == 70 and b.two_sided_coinvariant_dim(sylow) == 6
+    assert b.number_of_simples(sylow, seed=0) == 4
+    assert b.block_sylow_module(sylow) is first
+    assert len(ga._cosets) == 1
+
+
+def test_dropped_group_algebra_is_freed_without_collection():
+    import gc
+    import weakref
+
+    def build():
+        ga = blocks.GroupAlgebra(PermGroup.symmetric(4), gfq.GF.get(3))
+        b = ga.blocks(seed=0)[0]
+        b.block_sylow_module(ga.group.sylow_subgroup(3))
+        b.source_permutation_module(b.defect_group(), seed=0)
+        b.central_character()
+        return weakref.ref(ga)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert build()() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_blocks_keep_identity_and_cached_results():
+    ga = blocks.GroupAlgebra(PermGroup.symmetric(4), gfq.GF.get(3))
+    sylow = ga.group.sylow_subgroup(3)
+    held = ga.blocks(seed=0)[0]
+    assert ga.blocks(seed=0)[0] is held
+    m = ga.blocks(seed=0)[1].block_sylow_module(sylow)
+    # the second Block object is gone; a new one shares its results
+    assert ga.blocks(seed=0)[1].block_sylow_module(sylow) is m

@@ -1,7 +1,10 @@
 import json
 import os
 
+import pytest
+
 from blockperm import checks
+from blockperm.permgrp import ResourceCap
 
 
 def test_registry_and_suites():
@@ -60,3 +63,18 @@ def test_klein4_matches_golden():
     fresh = checks.suite_json(checks.run_suite("klein4", seed=0,
                                                ctx=checks.Context()))
     assert fresh == stored
+
+
+def test_run_check_reports_only_resource_caps():
+    def capped(rep, ctx, seed):
+        raise ResourceCap("group of order 5040 exceeds element cap 100")
+
+    def broken(rep, ctx, seed):
+        raise ValueError("singular matrix")
+
+    rep = checks.run_check(checks.CheckSpec("capped", "none", (), capped))
+    assert not rep.passed
+    assert [(a["name"], a["computed"]) for a in rep.assertions] == [
+        ("resource-cap", "group of order 5040 exceeds element cap 100")]
+    with pytest.raises(ValueError, match="singular matrix"):
+        checks.run_check(checks.CheckSpec("broken", "none", (), broken))

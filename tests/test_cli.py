@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from blockperm import cli
+from blockperm import blocks, cli
 
 
 def run(capsys, *argv):
@@ -117,3 +117,28 @@ def test_usage_error_exit_code():
 def test_bad_group_spec_exit_code(capsys):
     code = cli.main(["blocks", "--group", "nonsense:4", "--field", "3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--group", "sym:4", "--field", "2", "--subgroup", "sym:3"],
+    ["source-perm", "--group", "sym:4", "--field", "3", "--block", "9"],
+    ["source-perm", "--group", "sym:4", "--field", "3", "--block", "-1"]])
+def test_bad_input_exit_code(capsys, argv):
+    assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize("exc", [AssertionError, RuntimeError])
+def test_internal_failure_exit_code(capsys, monkeypatch, exc):
+    def fail(self, seed=0):
+        raise exc("certificate failed")
+    monkeypatch.setattr(blocks.GroupAlgebra, "blocks", fail)
+    code = cli.main(["blocks", "--group", "sym:3", "--field", "3"])
+    assert code == 3
+    assert "certificate failed" in capsys.readouterr().err
+
+
+def test_resource_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("BLOCKPERM_CAP", "100")
+    code = cli.main(["blocks", "--group", "sym:5", "--field", "3"])
+    assert code == 4
+    assert "exceeds element cap 100" in capsys.readouterr().err

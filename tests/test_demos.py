@@ -1,7 +1,7 @@
 """Run the quick demos end to end, each in a fresh interpreter.
 
-Demos 04 (blocks of S_7) and 07 (Brauer trees) take about a minute or more
-each and are left to be run by hand.
+Demo 07 (Brauer trees) takes most of a minute and is left to be run by
+hand.
 """
 
 import os
@@ -13,7 +13,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 QUICK_DEMOS = ["01_finite_fields.py", "02_permutation_groups.py",
-               "03_module_decomposition.py",
+               "03_module_decomposition.py", "04_blocks.py",
                "05_source_permutation_modules.py",
                "06_vertices_and_weights.py", "08_symmetric_characters.py"]
 
