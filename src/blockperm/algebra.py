@@ -28,11 +28,12 @@ from . import polys
 class FinDimAlgebra:
     def __init__(self, field, mult, one, labels=None):
         self.field = field
-        self.mult = np.asarray(mult, dtype=np.int16)
+        # the gfq kernels take reduced codes; this is where they enter
+        self.mult = field.array(mult)
         d = self.mult.shape[0]
         assert self.mult.shape == (d, d, d)
         self.dim = d
-        self.one = np.asarray(one, dtype=np.int16)
+        self.one = field.array(one)
         assert self.one.shape == (d,)
         self.labels = labels
         self._lmats = None

@@ -5,8 +5,8 @@ sylow:sym:n:p, json:FILE, or inline JSON), fields as p or p^e.  Every
 subcommand takes --seed for the random choices and --json/--pretty for
 machine-readable output.  Exit status: 0 on success, 1 when a requested
 check or property fails, 2 on usage errors and bad input, 3 when an internal
-certificate fails (AssertionError, RuntimeError), 4 when the input would
-exceed a size cap (ResourceCap).
+certificate fails (gfq.CertificateError, an AssertionError, or
+RuntimeError), 4 when the input would exceed a size cap (ResourceCap).
 """
 
 import argparse

@@ -6,14 +6,58 @@ monic modulus polynomial) gets the code sum_i c_i * p^i.  The modulus is the
 lexicographically smallest monic primitive polynomial of the right degree, so
 a given q always produces the same arithmetic.
 
-Matrices are plain numpy int16 arrays of codes.  Prime-field matrix products
-go through float64 BLAS (exact: entries stay far below 2**53), extension
-fields multiply coefficient planes.  All row reduction is exact.
+Matrices are plain numpy int16 arrays of reduced codes: every operand handed
+to a kernel already lies in 0..q-1 (GModule and FinDimAlgebra enforce this
+at their boundary with GF.array), so the kernels cast codes straight to
+float64 and never reduce their inputs.  Matrix products go through float64
+BLAS and reduce once per product; over extension fields the product works
+on coefficient planes, e float64 products for GF(p^e), and reduces all its
+output planes at once.  The blocked prime-field echelon reduces once per
+block update.  Every reduction goes through _reduce, which is exact while
+the float64 entries stay below 2**51 in absolute value; each caller passes
+an a-priori bound from the shapes, and _reduce raises CertificateError if
+that bound could be exceeded.  All row reduction is exact.
 """
 
 import numpy as np
 
 _FIELD_CACHE = {}
+
+
+class CertificateError(AssertionError):
+    """A mathematical certificate failed: the computation is wrong, not the
+    input.  Raised by explicit checks that also run under python -O."""
+
+
+# _reduce is exact for float64 integers of absolute value below this
+EXACT_BOUND = 2 ** 51
+
+
+def _reduce(C, p, bound):
+    """Reduce the float64 array C of exact integers mod p, in place.
+
+    bound is an a-priori bound on max |C| that the caller derives from the
+    shapes and reduced operands; CertificateError if it reaches EXACT_BOUND.
+
+    Why C - p * floor((C + 0.5) * fl(1/p)) is exact for |C| < 2**51, with
+    u = 2**-53: C + 0.5 needs 52 integer bits and one fractional bit, so it
+    is exact.  Write C + 0.5 = p*m + r + 0.5 with 0 <= r <= p-1; the true
+    quotient m + (r + 0.5)/p lies at least 0.5/p away from every integer.
+    fl(1/p) and the product each carry a relative error of at most u, so
+    the computed quotient is off by at most |C + 0.5| (2u + u^2) / p, which
+    is below 0.5/p when |C + 0.5| < 2**51 / (1 + u/2), true for every
+    integer |C| <= 2**51 - 1.  So floor returns m exactly, p*m is exact
+    (|p*m| <= |C| + p < 2**53), and C - p*m = r in 0..p-1.
+    """
+    if bound >= EXACT_BOUND:
+        raise CertificateError("float64 entries up to %d are past the exact "
+                               "reduction bound 2**51" % bound)
+    Q = C + 0.5
+    Q *= 1.0 / p
+    np.floor(Q, out=Q)
+    Q *= p
+    C -= Q
+    return C
 
 
 def _factorint(n):
@@ -219,9 +263,14 @@ class GF:
         for t in range(2 * e - 1):
             red[t] = xt
             xt = _poly_mul_mod(xt, x, self.modulus, p)
-        self._red = red
-        # sanity: x is a generator of the unit group
-        assert _element_order(self._encode(x), mul.tolist(), q) == q - 1
+        # _planes[c] holds the coefficients of code c; _weights[d1][d2, j]
+        # is the coefficient of x^j in x^(d1+d2)
+        self._planes = np.array(polys, dtype=np.float64)
+        ix = np.arange(e)
+        self._weights = red[ix[:, None] + ix].astype(np.float64)
+        self._powers = p ** ix.astype(np.float64)
+        if _element_order(self._encode(x), mul.tolist(), q) != q - 1:
+            raise CertificateError("x does not generate the unit group")
 
     # ---- vectorized elementwise arithmetic on code arrays ----
 
@@ -229,7 +278,8 @@ class GF:
         a = np.asarray(data, dtype=np.int16)
         if self.e == 1:
             return a % self.p
-        assert a.min() >= 0 and a.max() < self.q
+        if a.size and (a.min() < 0 or a.max() >= self.q):
+            raise ValueError("codes outside 0..%d" % (self.q - 1))
         return a
 
     def add(self, a, b):
@@ -284,23 +334,19 @@ class GF:
         if self.e == 1:
             return _matmul_prime(self.p, A, B)
         p, e = self.p, self.e
-        planesA = [((A.astype(np.int64) // p ** d) % p).astype(np.float64) for d in range(e)]
-        planesB = [((B.astype(np.int64) // p ** d) % p).astype(np.float64) for d in range(e)]
-        poly = [None] * (2 * e - 1)
-        for d1 in range(e):
-            for d2 in range(e):
-                prod = planesA[d1] @ planesB[d2]
-                t = d1 + d2
-                poly[t] = prod if poly[t] is None else poly[t] + prod
-        out = np.zeros(poly[0].shape, dtype=np.int64)
-        for j in range(e):
-            plane = np.zeros(poly[0].shape, dtype=np.float64)
-            for t in range(2 * e - 1):
-                c = int(self._red[t, j])
-                if c:
-                    plane = plane + c * poly[t]
-            out += (plane % p).astype(np.int64) * p ** j
-        return out.astype(np.int16)
+        PA = np.take(self._planes.T, A, axis=1)  # PA[d]: plane d of A
+        PB = self._planes[B]                     # planes of B on a last axis
+        n = B.shape[-1]
+        cols = PB.shape[:-2] + (n * e,)
+        # plane j of the product sums weights[d1, d2, j] A_d1 B_d2 over the
+        # e^2 pairs (d1, d2): entries <= k (p-1)^2, weights <= p-1.  Column
+        # (n, j) of (PB @ weights[d1]) holds sum_d2 weights[d1, d2, j] B_d2.
+        bound = e * e * A.shape[-1] * (p - 1) ** 3
+        acc = sum(PA[d] @ (PB @ self._weights[d]).reshape(cols)
+                  for d in range(e))
+        acc = _reduce(acc, p, bound)
+        return (acc.reshape(acc.shape[:-1] + (n, e)) @
+                self._powers).astype(np.int16)
 
     def elements(self):
         return list(range(self.q))
@@ -310,12 +356,9 @@ class GF:
 
 
 def _matmul_prime(p, A, B):
-    """Exact mod-p product via float64 BLAS; inner dim * (p-1)^2 << 2**53."""
-    Af = (np.asarray(A, dtype=np.int64) % p).astype(np.float64)
-    Bf = (np.asarray(B, dtype=np.int64) % p).astype(np.float64)
-    k = Af.shape[-1]
-    assert k * (p - 1) ** 2 < 2 ** 53
-    return ((Af @ Bf) % p).astype(np.int16)
+    """Exact mod-p product of reduced codes via float64 BLAS."""
+    C = A.astype(np.float64) @ B.astype(np.float64)
+    return _reduce(C, p, A.shape[-1] * (p - 1) ** 2).astype(np.int16)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +428,11 @@ def _echelon_prime_blocked(p, A, limit):
     Rf = np.zeros((0, nc), dtype=np.float64)
     pivots = []
     chunk = 64
+    pp = (p - 1) ** 2
     for i0 in range(0, nr, chunk):
-        C = (A[i0:i0 + chunk].astype(np.int64) % p).astype(np.float64)
+        C = A[i0:i0 + chunk].astype(np.float64)
         if pivots:
-            C = (C - C[:, pivots] @ Rf) % p
+            C = _reduce(C - C[:, pivots] @ Rf, p, (len(pivots) + 1) * pp)
         newidx = []
         newpivs = []
         taken = np.zeros(C.shape[0], dtype=bool)
@@ -405,12 +449,12 @@ def _echelon_prime_blocked(p, A, limit):
             r = int(nz[0])
             taken[r] = True
             inv = pow(int(col[r]), p - 2, p)
-            C[r] = (C[r] * inv) % p
+            C[r] = _reduce(C[r] * inv, p, pp)
             f = C[:, c].copy()
             f[r] = 0
             live = f != 0
             if live.any():
-                upd = (C[live] - np.outer(f[live], C[r])) % p
+                upd = _reduce(C[live] - np.outer(f[live], C[r]), p, pp + p)
                 C[live] = upd
                 nlive -= int((~upd[:, :limit].any(axis=1)).sum())
             newidx.append(r)
@@ -421,7 +465,7 @@ def _echelon_prime_blocked(p, A, limit):
                 f = Rf[:, newpivs]
                 if np.any(f):
                     Rf -= f @ N
-                    Rf %= p
+                    _reduce(Rf, p, (len(newpivs) + 1) * pp)
             Rf = np.vstack([Rf, N])
             pivots.extend(newpivs)
     order = np.argsort(pivots, kind="stable")
@@ -479,7 +523,8 @@ def solve(field, A, B):
 def inverse(field, A):
     A = np.asarray(A, dtype=np.int16)
     n = A.shape[0]
-    assert A.shape == (n, n)
+    if A.shape != (n, n):
+        raise CertificateError("inverse of a non-square %r matrix" % (A.shape,))
     X = solve(field, A, np.eye(n, dtype=np.int16))
     if X is None:
         raise ValueError("matrix is singular")

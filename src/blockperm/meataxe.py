@@ -21,8 +21,24 @@ from . import gfq
 from . import polys
 
 
+# float64 temporaries of the batched products hold about this many
+# entries at most (2 MiB); twice that raised the peak RSS of decomposing
+# the 132-dim GF(7)S_7 module by 7 MiB, for no gain in time
+CHUNK_ENTRIES = 1 << 18
+
+
 def module_dim(mats):
     return mats[0].shape[0] if mats else 0
+
+
+def matmul_rows(field, A, B):
+    """A @ B over field, taking A in row blocks so that the float64 copy of
+    each block and of its product stay near CHUNK_ENTRIES entries."""
+    step = max(1, CHUNK_ENTRIES // max(A.shape[1], B.shape[1], 1))
+    if A.shape[0] <= step:
+        return field.matmul(A, B)
+    return np.vstack([field.matmul(A[i:i + step], B)
+                      for i in range(0, A.shape[0], step)])
 
 
 def random_element(field, mats, rng):
@@ -111,7 +127,9 @@ def split_once(field, mats, rng, tries=60):
                 return ("irreducible", None, None)
             sub = gfq.nullspace(field, B)
             R, piv = gfq.echelon(field, sub)
-            assert 0 < R.shape[0] < n
+            if not 0 < R.shape[0] < n:
+                raise gfq.CertificateError(
+                    "transposed spin gave no proper submodule")
             return ("split", R, piv)
     raise RuntimeError("meataxe made no progress after %d tries" % tries)
 
@@ -121,15 +139,11 @@ def _singular_endo_split(field, mats, rng):
     E = hom_space(field, mats, mats)
     if len(E) <= 1:
         return None
-    cands = list(E)
-    for _ in range(200):
-        co = rng.integers(0, field.q, len(E))
-        acc = np.zeros((n, n), dtype=np.int16)
-        for c, X in zip(co, E):
-            if c:
-                acc = field.add(acc, field.mul(np.int16(int(c)), X))
-        cands.append(acc)
-    for X in cands:
+    co = np.array([rng.integers(0, field.q, len(E)) for _ in range(200)],
+                  dtype=np.int16)
+    flat = np.array(E).reshape(len(E), n * n)
+    combos = matmul_rows(field, co, flat).reshape(-1, n, n)
+    for X in E + list(combos):
         ker = gfq.nullspace(field, X)
         if 0 < ker.shape[0] < n:
             return ("split", *gfq.echelon(field, ker))
@@ -169,9 +183,18 @@ def hom_space(field, mats_m, mats_n):
     """Basis of intertwiners X with X @ A_g == B_g @ X, as a list of
     (dim_n x dim_m) matrices.
 
-    Spins the source module from few generating vectors; the unknowns are
-    only the images of those generators, so the linear system stays small
-    even when dim_m * dim_n is large.
+    Spins the source module from few generating vectors v_j; the unknowns
+    are only the images u of the seeds, so the linear system stays small
+    even when dim_m * dim_n is large.  Phi[j] (dim_n x U) gives X v_j =
+    Phi[j] u.  For each generator g, every v_j that is not a spin-tree
+    edge of g gives the constraint N_g Phi[j] - sum_k C_g[k, j] Phi[k] = 0,
+    where A_g v_j = sum_k C_g[k, j] v_k.  These are assembled as a few large
+    products, chunked so that no float64 temporary holds much more than
+    CHUNK_ENTRIES entries, and folded into a running RREF whenever the
+    pending rows outgrow that budget.  The RREF of the constraints, and so
+    the nullspace read off it, does not depend on the order or grouping of
+    the rows; the spin and seed order are fixed as below, so the returned
+    basis is the same as when the constraints are solved in one piece.
     """
     dm = module_dim(mats_m)
     dn = module_dim(mats_n)
@@ -186,46 +209,44 @@ def hom_space(field, mats_m, mats_n):
         cand = np.zeros(dm, dtype=np.int16)
         cand[next(c for c in range(dm) if c not in pivset)] = 1
         spin.seed(cand)
-    raws, tags, nseeds = spin.raws, spin.tree, spin.nseeds
+    tags, nseeds = spin.tree, spin.nseeds
     tree_edges = {(t[1], t[2]) for t in tags if t[0] == "mul"}
 
-    R = np.array(raws, dtype=np.int16).T  # columns are the spin vectors
+    R = np.array(spin.raws, dtype=np.int16).T  # columns are the spin vectors
     Rinv = gfq.inverse(field, R)
     U = nseeds * dn
-    # Phi_j: dn x U with X v_j = Phi_j u
-    Phi = [None] * dm
+    Phi = np.zeros((dm, dn, U), dtype=np.int16)
     for j, tag in enumerate(tags):
         if tag[0] == "seed":
-            block = np.zeros((dn, U), dtype=np.int16)
             s = tag[1]
-            block[:, s * dn:(s + 1) * dn] = np.eye(dn, dtype=np.int16)
-            Phi[j] = block
+            Phi[j, :, s * dn:(s + 1) * dn] = np.eye(dn, dtype=np.int16)
         else:
             _, g, parent = tag
             Phi[j] = field.matmul(mats_n[g], Phi[parent])
-    con = []
+    PhiT = Phi.reshape(dm, dn * U).T  # row (a, i) holds Phi[k][a, i] over k
+    step = max(1, CHUNK_ENTRIES // (dn * U))
+    rref = np.zeros((0, U), dtype=np.int16)
+    pending = []
     for g, M in enumerate(mats_m):
-        img = field.matmul(Rinv, field.matmul(M, R))  # coords of A_g v_j
-        for j in range(dm):
-            if (g, j) in tree_edges:
-                continue
-            c = img[:, j]
-            block = field.matmul(mats_n[g], Phi[j])
-            for k in np.nonzero(c)[0]:
-                block = field.sub(block,
-                                  field.mul(np.int16(c[k]), Phi[int(k)]))
-            con.append(block)
-    if con:
-        big = np.vstack(con)
-        sol = gfq.nullspace(field, big)
-    else:
-        sol = np.eye(U, dtype=np.int16)
-    out = []
-    for u in sol:
-        cols = [field.matmul(Phi[j], u[:, None])[:, 0] for j in range(dm)]
-        P = np.array(cols, dtype=np.int16).T  # X @ R
-        out.append(field.matmul(P, Rinv))
-    return out
+        # never empty: g labels fewer than dm tree edges
+        J = [j for j in range(dm) if (g, j) not in tree_edges]
+        C = field.matmul(Rinv, field.matmul(M, R))  # coords of A_g v_j
+        # sum_k C[k, j] Phi[k] for every j in J, as rows (j, a, i)
+        comb = matmul_rows(field, PhiT, C[:, J]).T.reshape(len(J), dn, U)
+        for j0 in range(0, len(J), step):
+            Jc = J[j0:j0 + step]
+            block = field.sub(field.matmul(mats_n[g], Phi[Jc]),
+                              comb[j0:j0 + step])
+            pending.append(block.reshape(-1, U))
+            if sum(b.shape[0] for b in pending) * U > CHUNK_ENTRIES:
+                rref = gfq.echelon(field, np.vstack([rref] + pending))[0]
+                pending = []
+    sol = gfq.nullspace(field, np.vstack([rref] + pending))
+    r = len(sol)
+    # P[(j, a), t] = (Phi[j] sol[t])[a] = (X_t R)[a, j], so X_t = P_t Rinv
+    P = matmul_rows(field, Phi.reshape(dm * dn, U), sol.T)
+    P = P.reshape(dm, dn, r).transpose(2, 1, 0).reshape(r * dn, dm)
+    return list(matmul_rows(field, P, Rinv).reshape(r, dn, dm))
 
 
 def fixed_points(field, mats):

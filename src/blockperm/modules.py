@@ -20,15 +20,22 @@ class GModule:
     def __init__(self, group, field, mats, name=None, tags=None, dim=None):
         self.group = group
         self.field = field
-        self.mats = [np.asarray(M, dtype=np.int16) for M in mats]
-        assert len(self.mats) == len(group.generators)
+        # the gfq kernels take reduced codes; this is where they enter
+        self.mats = [field.array(M) for M in mats]
+        if len(self.mats) != len(group.generators):
+            raise gfq.CertificateError("%d matrices for %d generators" % (
+                len(self.mats), len(group.generators)))
         if self.mats:
             self.dim = self.mats[0].shape[0]
+        elif dim is None:
+            raise gfq.CertificateError(
+                "dim is required for generator-free groups")
         else:
-            assert dim is not None, "dim is required for generator-free groups"
             self.dim = dim
         for M in self.mats:
-            assert M.shape == (self.dim, self.dim)
+            if M.shape != (self.dim, self.dim):
+                raise gfq.CertificateError("matrix of shape %r in a %d-dim "
+                                           "module" % (M.shape, self.dim))
         self.name = name
         self.tags = tags
         self.induced_from = None   # subgroup H when self is k[G/H]
@@ -129,7 +136,8 @@ class GModule:
             for a in range(r):
                 b = images[s][a]
                 helt = reps[b].inv() * gen * reps[a]
-                assert helt in h
+                if helt not in h:
+                    raise gfq.CertificateError("coset action left H")
                 M[b * d:(b + 1) * d, a * d:(a + 1) * d] = self.rep_of(helt)
             mats.append(M)
         m = GModule(big, self.field, mats,
@@ -175,7 +183,8 @@ def hom_modules(m, n):
     rho_n(g)u.  Otherwise the spinning solver runs on the source module.
     """
     F = m.field
-    assert F is n.field and m.group is n.group
+    if F is not n.field or m.group is not n.group:
+        raise gfq.CertificateError("modules over different fields or groups")
     if m.induced_from is not None and m.tags is not None:
         h = m.induced_from
         hm = [n.rep_of(s) for s in h.generators]
@@ -206,26 +215,35 @@ def coset_map(m, n, u):
 
 def endomorphism_algebra(m):
     """(algebra, basis_mats): End_kG(m) with structure constants on the
-    computed hom basis."""
+    computed hom basis.
+
+    Row i of the table comes from one product basis[i] @ [basis_0 ...
+    basis_{r-1}]; the coordinates of all r products, and the certificate
+    that each lies in the span of the basis, are read off the RREF of the
+    flattened basis at once.
+    """
     F = m.field
     basis = hom_modules(m, m)
     r = len(basis)
     d = m.dim
-    flat = np.vstack([X.reshape(1, -1) for X in basis])
+    flat = np.array(basis, dtype=np.int16).reshape(r, d * d)
     R, piv, T = gfq.echelon(F, flat, transform=True)
-    assert R.shape[0] == r, "hom basis not independent"
+    if R.shape[0] != r:
+        raise gfq.CertificateError("hom basis not independent")
 
-    def coords(X):
-        cr = X.reshape(-1)[piv]
-        back = F.matmul(R.T, cr[:, None])[:, 0]
-        assert np.array_equal(back, X.reshape(-1)), "product left the algebra"
-        return F.matmul(T.T, cr[:, None])[:, 0]
+    def coords(prods):
+        # rows of prods are flattened matrices; R is the identity on piv
+        cr = prods[:, piv]
+        if not np.array_equal(F.matmul(cr, R), prods):
+            raise gfq.CertificateError("product left the algebra")
+        return F.matmul(cr, T)
 
+    side = np.hstack(basis)
     mult = np.zeros((r, r, r), dtype=np.int16)
     for i in range(r):
-        for j in range(r):
-            mult[i, j] = coords(F.matmul(basis[i], basis[j]))
-    one = coords(np.eye(d, dtype=np.int16))
+        prods = F.matmul(basis[i], side).reshape(d, r, d)
+        mult[i] = coords(prods.transpose(1, 0, 2).reshape(r, d * d))
+    one = coords(np.eye(d, dtype=np.int16).reshape(1, d * d))[0]
     alg = FinDimAlgebra(F, mult, one)
     return alg, basis
 
@@ -254,18 +272,22 @@ def decompose(m, seed=0):
         return []
     alg, basis = endomorphism_algebra(m)
     prims = alg.primitive_idempotents(seed=seed)
+    d = m.dim
+    flat = np.array(basis, dtype=np.int16).reshape(len(basis), d * d)
+    idems = meataxe.matmul_rows(F, np.array(prims, dtype=np.int16),
+                                flat).reshape(-1, d, d)
     pieces = []
-    for f in prims:
-        X = np.zeros((m.dim, m.dim), dtype=np.int16)
-        for i in np.nonzero(f)[0]:
-            X = F.add(X, F.mul(np.int16(f[i]), basis[int(i)]))
-        assert np.array_equal(F.matmul(X, X), X)
+    for X in idems:
+        if not np.array_equal(F.matmul(X, X), X):
+            raise gfq.CertificateError("primitive idempotent is not one")
         rows, piv = gfq.echelon(F, X.T)
         mats = meataxe.restrict_to_submodule(F, m.mats, rows, piv)
         sub = GModule(m.group, F, mats)
         pieces.append((sub, rows, X))
     total = sum(p[0].dim for p in pieces)
-    assert total == m.dim
+    if total != m.dim:
+        raise gfq.CertificateError("summands of dims adding to %d in a "
+                                   "%d-dim module" % (total, m.dim))
     groups = []
     for sub, rows, X in pieces:
         placed = False
@@ -407,7 +429,8 @@ def is_projective(m):
     stacked = np.vstack([F.sub(M, np.eye(m.dim, dtype=np.int16))
                          for M in mats])
     top = m.dim - gfq.rank(F, stacked)
-    assert m.dim <= top * s.order()
+    if m.dim > top * s.order():
+        raise gfq.CertificateError("dim M > |S| dim M/rad(kS)M")
     return m.dim == top * s.order()
 
 

@@ -129,6 +129,40 @@ def test_json_round_trip():
     assert a.dumps() == b.dumps()
 
 
+def test_json_coefficients_enter_as_reduced_codes():
+    """The gfq kernels take reduced codes.  An algebra read from JSON with
+    coefficients such as 7 and -1 over GF(7) is the algebra with the same
+    coefficients in 0..6, down to the blocked echelon (over 4096 entries)
+    on its left multiplication matrices."""
+    F = gfq.GF.get(7)
+    a = algebra.group_algebra(F, PermGroup.cyclic(21))
+    data = a.to_json()
+    rng = np.random.default_rng(0)
+    nonzero = {tuple(t[:3]) for t in data["products"]}
+    products = [[i, j, k, c + 7 * int(rng.integers(-2, 3))]
+                for i, j, k, c in data["products"]]
+    products += [[i, j, k, 7] for i in range(3) for j in range(3)
+                 for k in range(a.dim) if (i, j, k) not in nonzero]
+    products[0][3] = -6  # the coefficient 1 written as -6
+    one = [c + 7 * (-1) ** n for n, c in enumerate(data["one"])]
+    assert min(t[3] for t in products) < 0 and 7 in [t[3] for t in products]
+    b = algebra.FinDimAlgebra.from_json(dict(data, products=products,
+                                             one=one))
+    assert np.array_equal(a.mult, b.mult)
+    assert np.array_equal(a.one, b.one)
+    stacked = np.vstack(b.left_mats())
+    assert stacked.size > 4096
+    assert gfq.rank(F, stacked) == gfq.rank(F, np.vstack(a.left_mats()))
+    for x, y in zip(a.radical_basis(), b.radical_basis()):
+        assert np.array_equal(x, y)
+    assert b.center()[0].dim == a.center()[0].dim == a.dim
+    # over an extension field there is no reduction: such codes are refused
+    g4 = algebra.nakayama_algebra(gfq.GF.get(2, 2), 2, 2).to_json()
+    g4["products"][0][3] = -1
+    with pytest.raises(ValueError):
+        algebra.FinDimAlgebra.from_json(g4)
+
+
 def test_split_local_detection():
     F = gfq.GF.get(3)
     a = algebra.group_algebra(F, PermGroup.cyclic(9))

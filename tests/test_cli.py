@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from blockperm import blocks, cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -142,3 +148,29 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
     code = cli.main(["blocks", "--group", "sym:5", "--field", "3"])
     assert code == 4
     assert "exceeds element cap 100" in capsys.readouterr().err
+
+
+def _python_O(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O"] + list(args), env=env,
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_certificates_run_under_python_O():
+    assert _python_O("-c", "assert False").returncode == 0
+    proc = _python_O("-c", "import numpy as np; from blockperm import gfq; "
+                     "gfq._reduce(np.zeros(4), 7, gfq.EXACT_BOUND)")
+    assert proc.returncode == 1 and "CertificateError" in proc.stderr
+
+
+@pytest.mark.parametrize("suite", ["klein4", "nilpotent"])
+def test_paper_check_golden_under_python_O(suite):
+    """The fast suites still match their golden reports with asserts
+    stripped."""
+    golden = ROOT / "tests" / "golden" / ("%s-seed0.json" % suite)
+    proc = _python_O("-m", "blockperm.cli", "paper-check", "--suite", suite,
+                     "--golden", str(golden))
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -161,3 +161,109 @@ def test_echelon_engine_relation():
     assert rel[3] == 1
     combo = F.sum(F.mul(rel[:, None], np.vstack([vecs, dep])), axis=0)
     assert not combo.any()
+
+
+def _reference_mod(C, p):
+    return np.array([int(x) % p for x in C.reshape(-1)]).reshape(C.shape)
+
+
+@pytest.mark.parametrize("p", [2, 7, 251])
+def test_reduce_matches_python_ints(p):
+    rng = np.random.default_rng(p)
+    top = gfq.EXACT_BOUND - 1
+    edges = [0, p, -p, 3 * p, -5 * p, top, -top, top // p * p,
+             -(top // p * p), 1, -1, p - 1, -(p - 1)]
+    for size in (len(edges), 128, 129, 5000):
+        vals = np.concatenate([
+            edges, rng.integers(-top, top, size),
+            rng.integers(-(p - 1) ** 2 * 64, (p - 1) ** 2 * 64, size)])[:size]
+        C = vals.astype(np.float64)
+        assert np.array_equal(C, vals)  # the test data are exact
+        out = gfq._reduce(C, p, top)
+        assert out is C                 # in place
+        assert np.array_equal(out, _reference_mod(vals, p))
+
+
+def test_reduce_refuses_past_its_bound():
+    C = np.zeros((3, 3))
+    gfq._reduce(C, 7, gfq.EXACT_BOUND - 1)
+    with pytest.raises(gfq.CertificateError):
+        gfq._reduce(C, 7, gfq.EXACT_BOUND)
+    assert issubclass(gfq.CertificateError, AssertionError)
+
+
+@pytest.mark.parametrize("p", [2, 7, 251])
+def test_matmul_prime_matches_python_ints(p):
+    F = gfq.GF.get(p)
+    rng = np.random.default_rng(p + 1)
+    for m, k, n in [(1, 1, 1), (3, 5, 2), (12, 40, 17), (2, 3000, 3),
+                    (70, 70, 1), (2, 0, 3), (0, 4, 2)]:
+        A = rng.integers(0, p, (m, k)).astype(np.int16)
+        B = rng.integers(0, p, (k, n)).astype(np.int16)
+        ref = (A.astype(object) @ B.astype(object)) % p
+        out = F.matmul(A, B)
+        assert out.dtype == np.int16
+        assert np.array_equal(out, ref.astype(np.int64))
+    # all entries p-1: the largest sums a reduced product can reach
+    A = np.full((4, 999), p - 1, dtype=np.int16)
+    assert np.array_equal(F.matmul(A, A.T),
+                          np.full((4, 4), 999 * (p - 1) ** 2 % p))
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (5, 3), (2, 8)])
+def test_matmul_extension_matches_tables(p, e):
+    F = gfq.GF.get(p, e)
+    rng = np.random.default_rng(p * 100 + e)
+    for m, k, n in [(1, 1, 1), (3, 5, 2), (7, 30, 4), (2, 300, 3),
+                    (0, 4, 2), (3, 4, 0), (2, 0, 3)]:
+        A = rng.integers(0, F.q, (m, k)).astype(np.int16)
+        B = rng.integers(0, F.q, (k, n)).astype(np.int16)
+        ref = np.zeros((m, n), dtype=np.int16)
+        for i in range(k):
+            ref = F.add(ref, F.mul(A[:, i][:, None], B[i][None, :]))
+        assert np.array_equal(F.matmul(A, B), ref)
+        # a stack of right operands, as hom_space passes them
+        B3 = rng.integers(0, F.q, (3, k, n)).astype(np.int16)
+        assert np.array_equal(F.matmul(A, B3),
+                              np.array([F.matmul(A, b) for b in B3]))
+
+
+@pytest.mark.parametrize("p,e,k_ok", [(7, 1, 27), (2, 8, 15), (3, 2, 31)])
+def test_matmul_enforces_the_exactness_bound(monkeypatch, p, e, k_ok):
+    """A prime-field product sums up to k (p-1)^2.  Over GF(p^e) an output
+    plane sums e^2 plane products of that size, each scaled by <= p-1:
+    e^2 k (p-1)^3.  Past the bound the kernel refuses."""
+    monkeypatch.setattr(gfq, "EXACT_BOUND", 1000)
+    F = gfq.GF.get(p, e)
+    bound = (k_ok * (p - 1) ** 2 if e == 1
+             else e * e * k_ok * (p - 1) ** 3)
+    assert bound < 1000
+    A = np.ones((2, k_ok), dtype=np.int16)
+    F.matmul(A, A.T)
+    A = np.ones((2, k_ok + 1), dtype=np.int16)
+    with pytest.raises(gfq.CertificateError):
+        F.matmul(A, A.T)
+
+
+@pytest.mark.parametrize("p", [2, 7, 251])
+def test_blocked_echelon_matches_generic(p):
+    """Above 4096 entries prime fields take _echelon_prime_blocked; on
+    rank-deficient matrices with zero and repeated rows it must give the
+    same pivots and RREF as the generic elimination."""
+    F = gfq.GF.get(p)
+    rng = np.random.default_rng(100 + p)
+    for nr, nc, r in [(150, 90, 37), (200, 70, 70), (65, 130, 12)]:
+        X = rng.integers(0, p, (nr, r)).astype(np.int16)
+        Y = rng.integers(0, p, (r, nc)).astype(np.int16)
+        A = F.matmul(X, Y)
+        A[5] = 0
+        A[nr - 1] = A[3]
+        assert A.size > 4096
+        R, piv = gfq.echelon(F, A)
+        Rg, pivg = gfq._echelon_generic(F, A, nc)
+        assert piv == pivg
+        assert np.array_equal(R, Rg)
+        assert len(piv) <= r < nr
+        R2, piv2, T = gfq.echelon(F, A, transform=True)
+        assert piv2 == piv and np.array_equal(R2, R)
+        assert np.array_equal(F.matmul(T, A), R)

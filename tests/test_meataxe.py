@@ -159,3 +159,72 @@ def test_hom_space_pinned_bases():
     dst = GModule.regular(g, F)
     assert _hom_digest(meataxe.hom_space(F, src.mats, dst.mats)) == \
         (5, "6f7866b7ccb8377744c6e6c64c9d1b942c6308b2")
+
+
+def test_hom_space_pinned_bases_in_small_chunks(monkeypatch):
+    """With a budget of a few entries every constraint block is its own
+    chunk and the RREF is refolded after each one; the bases must not
+    change."""
+    monkeypatch.setattr(meataxe, "CHUNK_ENTRIES", 5)
+    test_hom_space_pinned_bases()
+
+
+def _in_random_basis(F, mats, rng):
+    """The same module written in a random basis, so its matrices are no
+    longer monomial."""
+    n = mats[0].shape[0]
+    while True:
+        P = rng.integers(0, F.q, (n, n)).astype(np.int16)
+        if gfq.rank(F, P) == n:
+            break
+    Pinv = gfq.inverse(F, P)
+    return [F.matmul(F.matmul(P, M), Pinv) for M in mats]
+
+
+def _hom_by_kronecker(F, mats_m, mats_n):
+    """Row-major vec(X) of every X with X A_g = B_g X: the nullspace of the
+    stacked I (x) A_g^T - B_g (x) I.  One Kronecker factor is always 0/1,
+    so np.kron multiplies exactly over every field."""
+    dm, dn = mats_m[0].shape[0], mats_n[0].shape[0]
+    rows = [F.sub(np.kron(np.eye(dn, dtype=np.int16), A.T),
+                  np.kron(B, np.eye(dm, dtype=np.int16)))
+            for A, B in zip(mats_m, mats_n)]
+    return gfq.nullspace(F, np.vstack(rows))
+
+
+def _small_modules(group, subgroups, F, rng):
+    mods = [GModule.permutation(group, h, F) for h in subgroups]
+    mods.append(mods[0].direct_sum(GModule.trivial(group, F)))
+    mats = [m.mats for m in mods]
+    return mats + [_in_random_basis(F, mats[-1], rng),
+                   _in_random_basis(F, GModule.regular(group, F).mats, rng)]
+
+
+@pytest.mark.parametrize("chunk", [meataxe.CHUNK_ENTRIES, 5])
+@pytest.mark.parametrize("p,e", [(2, 1), (7, 1), (251, 1), (2, 2), (3, 2),
+                                 (2, 8)])
+def test_hom_space_matches_kronecker_reference(monkeypatch, chunk, p, e):
+    monkeypatch.setattr(meataxe, "CHUNK_ENTRIES", chunk)
+    F = gfq.GF.get(p, e)
+    rng = np.random.default_rng(p * 10 + e)
+    g = PermGroup.symmetric(3)
+    a4 = PermGroup.alternating(4)
+    cases = [_small_modules(g, [g.sylow_subgroup(2), g.sylow_subgroup(3)],
+                            F, rng),
+             _small_modules(a4, [a4.sylow_subgroup(3)], F, rng)[:2]]
+    for mods in cases:
+        for src in mods:
+            for dst in mods:
+                homs = meataxe.hom_space(F, src, dst)
+                ref = _hom_by_kronecker(F, src, dst)
+                assert len(homs) == ref.shape[0]
+                for X in homs:
+                    assert X.shape == (dst[0].shape[0], src[0].shape[0])
+                    for A, B in zip(src, dst):
+                        assert np.array_equal(F.matmul(X, A),
+                                              F.matmul(B, X))
+                if homs:
+                    flat = np.array(homs).reshape(len(homs), -1)
+                    R, piv = gfq.echelon(F, flat)
+                    Rr, pivr = gfq.echelon(F, ref)
+                    assert piv == pivr and np.array_equal(R, Rr)

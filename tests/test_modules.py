@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,63 @@ def test_direct_sum_and_iso():
     assert tt.dim == 2
     assert not modules.is_isomorphic(t, tt)
     assert modules.is_isomorphic(tt, t.direct_sum(t))
+
+
+def _end_cases():
+    F = gfq.GF.get(3)
+    g = PermGroup.symmetric(4)
+    yield GModule.permutation(g, g.sylow_subgroup(2), F).direct_sum(
+        GModule.permutation(g, g.subgroup([g.generators[0]]), F)), \
+        (13, "f9f22ae41e2be59f9e1313aee31bbd8a9e231d78")
+    F = gfq.GF.get(2, 8)
+    g = PermGroup.alternating(4)
+    yield GModule.permutation(g, g.sylow_subgroup(3), F).direct_sum(
+        GModule.trivial(g, F)), \
+        (5, "fca04d3291b46cabbfc6aac01c918795ac23723b")
+
+
+def test_endomorphism_algebra_tables():
+    """Structure constants reproduce the products of the basis, are
+    associative, and have `one` as identity; the tables themselves are
+    pinned (sha1 of mult then one, recorded before End(M) was built from
+    batched products)."""
+    for m, pinned in _end_cases():
+        F = m.field
+        alg, basis = modules.endomorphism_algebra(m)
+        r, d = alg.dim, m.dim
+        flat = np.array(basis).reshape(r, d * d)
+        for i in range(r):
+            for j in range(r):
+                prod = F.matmul(basis[i], basis[j]).reshape(1, -1)
+                assert np.array_equal(
+                    prod, F.matmul(alg.mult[i, j][None, :], flat))
+        assert np.array_equal(F.matmul(alg.one[None, :], flat),
+                              np.eye(d, dtype=np.int16).reshape(1, -1))
+        mult = alg.mult
+        # (e_i e_j) e_k and e_i (e_j e_k), indexed [i, j, k, :]
+        left = F.matmul(mult.reshape(r * r, r), mult.reshape(r, r * r))
+        right = F.matmul(mult.reshape(r * r, r),
+                         mult.transpose(1, 0, 2).reshape(r, r * r))
+        right = right.reshape(r, r, r, r).transpose(2, 0, 1, 3)
+        assert np.array_equal(left.reshape(r, r, r, r), right)
+        for i in range(r):
+            e = np.zeros(r, dtype=np.int16)
+            e[i] = 1
+            assert np.array_equal(alg.multiply(alg.one, e), e)
+            assert np.array_equal(alg.multiply(e, alg.one), e)
+        h = hashlib.sha1()
+        h.update(np.ascontiguousarray(mult, dtype=np.int16).tobytes())
+        h.update(np.ascontiguousarray(alg.one, dtype=np.int16).tobytes())
+        assert (r, h.hexdigest()) == pinned
+
+
+def test_gmodule_takes_reduced_codes():
+    """The gfq kernels assume reduced codes; GModule is where matrices
+    enter, so it reduces prime-field input and refuses codes outside an
+    extension field."""
+    g = PermGroup.cyclic(2)
+    M = np.array([[7, 8], [-6, 14]], dtype=np.int16)  # the swap, mod 7
+    m = GModule(g, gfq.GF.get(7), [M])
+    assert np.array_equal(m.mats[0], [[0, 1], [1, 0]])
+    with pytest.raises(ValueError):
+        GModule(g, gfq.GF.get(2, 2), [np.array([[0, 4], [1, 0]])])
