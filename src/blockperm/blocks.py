@@ -27,7 +27,7 @@ from . import meataxe
 from . import polys
 from .algebra import FinDimAlgebra
 from .modules import GModule, coset_map
-from .permgrp import Perm, ResourceCap
+from .permgrp import Perm, ResourceCap, orbit_labels
 
 # past this order the n x n echelon work is only viable with the BLAS-backed
 # prime-field path
@@ -46,8 +46,7 @@ class GroupAlgebra:
             raise ResourceCap(
                 "group of order %d needs a prime field for block work"
                 % self.n)
-        self.idx = {g.img: i for i, g in enumerate(self.elems)}
-        self._eltarr = np.array([g.img for g in self.elems], dtype=np.int32)
+        self._eltarr = group.image_array()
         self._itype = np.int16 if self.n < 2 ** 15 else np.int32
         self.M1 = self._build_m1()
         self._classes = None
@@ -77,10 +76,7 @@ class GroupAlgebra:
         return self._lookup_rows(imgs)
 
     def _lookup_rows(self, imgs):
-        out = np.empty(self.n, dtype=self._itype)
-        for h in range(self.n):
-            out[h] = self.idx[tuple(int(x) for x in imgs[h])]
-        return out
+        return self.group.indices(imgs).astype(self._itype)
 
     def _build_m1(self):
         """M1[g, h] = index(elems[g]^-1 * elems[h]), built by BFS on rows:
@@ -89,7 +85,7 @@ class GroupAlgebra:
         M1 = np.empty((n, n), dtype=self._itype)
         linv = [self.lmul_index(s.inv()) for s in self.group.generators]
         lmul = [self.lmul_index(s) for s in self.group.generators]
-        e = self.idx[Perm.identity(self.group.degree).img]
+        e = self.group.index_of(Perm.identity(self.group.degree))
         M1[e] = np.arange(n, dtype=self._itype)
         done = np.zeros(n, dtype=bool)
         done[e] = True
@@ -109,7 +105,7 @@ class GroupAlgebra:
 
     def inv_index(self):
         """arr[g] = index of elems[g]^-1."""
-        e = self.idx[Perm.identity(self.group.degree).img]
+        e = self.group.index_of(Perm.identity(self.group.degree))
         return self.M1[:, e].copy()
 
     def convolve(self, x, y):
@@ -128,7 +124,7 @@ class GroupAlgebra:
         if self._classes is not None:
             return self._classes
         conj = [self.conj_index(s) for s in self.group.generators]
-        class_of = _orbit_labels(conj, self.n)
+        class_of = orbit_labels(conj, self.n)
         lists = [np.nonzero(class_of == c)[0].astype(np.int32)
                  for c in range(class_of.max() + 1)]
         self._classes = (class_of, lists)
@@ -212,7 +208,7 @@ class GroupAlgebra:
         if key not in self._cosets:
             perm = GModule.permutation(self.group, h, self.field)
             reps = np.array([r.img for r in perm.tags], dtype=np.int32)
-            hel = np.array([u.img for u in h.elements()], dtype=np.int32)
+            hel = h.image_array()
             cos = self._lookup_rows(reps[:, hel].reshape(self.n, -1))
             self._cosets[key] = (perm, cos.reshape(len(reps), -1))
         return self._cosets[key]
@@ -247,7 +243,7 @@ class GroupAlgebra:
         coset_of = np.empty(self.n, dtype=np.int64)
         coset_of[cos] = np.arange(len(cos))[:, None]
         moves = [coset_of[self.lmul_index(u)[cos[:, 0]]] for u in h.generators]
-        orbit = _orbit_labels(moves, len(cos))
+        orbit = orbit_labels(moves, len(cos))
         sums = (orbit[:, None] == np.arange(orbit.max() + 1)).astype(np.int16)
         return gfq.rank(self.field, self.field.matmul(rows, sums))
 
@@ -275,17 +271,6 @@ class GroupAlgebra:
 
 def _subgroup_key(h):
     return (h.order(), tuple(g.img for g in h.generators))
-
-
-def _orbit_labels(maps, n):
-    """Orbit number of each of 0..n-1 under index maps (permutations of
-    range(n)); orbits are numbered in the order of their least members."""
-    label = np.arange(n)
-    while True:
-        nxt = np.minimum.reduce([label] + [label[m] for m in maps])
-        if np.array_equal(nxt, label):
-            return np.unique(label, return_inverse=True)[1]
-        label = nxt
 
 
 class Block:
@@ -328,7 +313,7 @@ class Block:
         """Whether the image of the block idempotent under truncation to
         C_G(Q)-supported coordinates is nonzero."""
         cent = self.ga.group.centralizer(q)
-        sup = [self.ga.idx[g.img] for g in cent.elements()]
+        sup = self.ga.group.indices(cent.image_array())
         return bool(np.asarray(self.evec)[sup].any())
 
     def defect_group(self):
@@ -359,8 +344,7 @@ class Block:
         F = ga.field
         n = ga.n
         T = np.asarray(self.evec, dtype=np.int16)[ga.M1]  # row g is g*e
-        orbit_of = _orbit_labels([ga.conj_index(s) for s in p_sub.generators],
-                                 n)
+        orbit_of = orbit_labels([ga.conj_index(s) for s in p_sub.generators], n)
         sums = np.array([F.sum(T[orbit_of == o], axis=0)
                          for o in range(orbit_of.max() + 1)], dtype=np.int16)
         rows, piv = gfq.echelon(F, sums)
@@ -384,7 +368,7 @@ class Block:
         ga = self.ga
         alg, rows, piv = self.fixed_point_algebra(p_sub)
         cent = ga.group.centralizer(p_sub)
-        sup = np.array(sorted(ga.idx[g.img] for g in cent.elements()))
+        sup = ga.group.indices(cent.image_array())
         for f in alg.primitive_idempotents(seed=seed):
             vec = ga.field.matmul(f[None, :], rows)[0]
             if vec[sup].any():
@@ -491,8 +475,8 @@ class Block:
         cent = ga.group.centralizer(p_sub)
         small = GroupAlgebra(norm, ga.field)
         br = np.zeros(small.n, dtype=np.int16)
-        for g in cent.elements():
-            br[small.idx[g.img]] = self.evec[ga.idx[g.img]]
+        rows = cent.image_array()
+        br[small.group.indices(rows)] = self.evec[ga.group.indices(rows)]
         assert np.array_equal(small.convolve(br, br), br), \
             "Brauer quotient of the block idempotent is not idempotent"
         hits = []
@@ -536,7 +520,6 @@ def brauer_hom(ga, x, p_sub):
             "element is not fixed under P-conjugation"
     cent = ga.group.centralizer(p_sub).with_small_generators()
     out = np.zeros(ga.n, dtype=np.int16)
-    for g in cent.elements():
-        j = ga.idx[g.img]
-        out[j] = x[j]
+    sup = ga.group.indices(cent.image_array())
+    out[sup] = x[sup]
     return cent, out

@@ -120,18 +120,6 @@ def _is_irreducible(mod, p):
     return True
 
 
-def _element_order(code_of_x, mul, q):
-    n = q - 1
-    o = 1
-    acc = code_of_x
-    while acc != 1:
-        acc = mul[acc][code_of_x]
-        o += 1
-        if o > n:
-            raise RuntimeError("broken field tables")
-    return o
-
-
 class GF:
     """Finite field GF(p^e) with vectorized arithmetic on numpy code arrays."""
 
@@ -216,61 +204,43 @@ class GF:
                 return mod
         raise RuntimeError("no primitive polynomial found")
 
-    def _decode(self, code):
-        c = code
-        out = []
-        for _ in range(self.e):
-            out.append(c % self.p)
-            c //= self.p
-        return tuple(out)
-
-    def _encode(self, coeffs):
-        code = 0
-        for i in range(self.e - 1, -1, -1):
-            code = code * self.p + coeffs[i]
-        return code
-
     def _build_tables(self):
+        """Arithmetic tables from log/antilog tables of x.
+
+        antilog[k] is the code of x^k, from q-1 steps of multiplying by x
+        and reducing by the modulus; q-1 distinct nonzero codes certify that
+        x generates the unit group.  Sums add coefficient planes mod p."""
         p, e, q = self.p, self.e, self.q
-        polys = [self._decode(c) for c in range(q)]
-        add = np.zeros((q, q), dtype=np.int16)
+        ix = np.arange(e)
+        planes = np.arange(q)[:, None] // p ** ix % p  # coefficients of codes
+        antilog = np.zeros(q - 1, dtype=np.int64)
+        c = [1] + [0] * (e - 1)
+        for k in range(q - 1):
+            antilog[k] = sum(ci * p ** i for i, ci in enumerate(c))
+            top = c[-1]
+            c = [(lo - top * m) % p for lo, m in zip([0] + c[:-1],
+                                                     self.modulus)]
+        if not np.array_equal(np.sort(antilog), np.arange(1, q)):
+            raise CertificateError("x does not generate the unit group")
+        log = np.zeros(q, dtype=np.int64)
+        log[antilog] = np.arange(q - 1)
+        lg = log[1:]
         mul = np.zeros((q, q), dtype=np.int16)
-        for a in range(q):
-            pa = polys[a]
-            for b in range(a, q):
-                pb = polys[b]
-                s = self._encode([(x + y) % p for x, y in zip(pa, pb)])
-                add[a, b] = s
-                add[b, a] = s
-                m = self._encode(_poly_mul_mod(pa, pb, self.modulus, p))
-                mul[a, b] = m
-                mul[b, a] = m
-        self._add_table = add
+        mul[1:, 1:] = antilog[(lg[:, None] + lg) % (q - 1)]
         self._mul_table = mul
-        neg = np.zeros(q, dtype=np.int16)
+        self._add_table = ((planes[:, None] + planes) % p @ p ** ix) \
+            .astype(np.int16)
+        self._neg_table = (-planes % p @ p ** ix).astype(np.int16)
         inv = np.zeros(q, dtype=np.int16)
-        for a in range(q):
-            neg[a] = self._encode([(-x) % p for x in polys[a]])
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = int(np.nonzero(row == 1)[0][0])
-        self._neg_table = neg
+        inv[1:] = antilog[-lg % (q - 1)]
         self._inv_table = inv
         # x^t mod modulus for t < 2e-1, as coefficient rows (plane reduction)
-        red = np.zeros((2 * e - 1, e), dtype=np.int16)
-        xt = tuple([1] + [0] * (e - 1))
-        x = tuple([0, 1] + [0] * (e - 2))
-        for t in range(2 * e - 1):
-            red[t] = xt
-            xt = _poly_mul_mod(xt, x, self.modulus, p)
+        red = planes[antilog[:2 * e - 1]]
         # _planes[c] holds the coefficients of code c; _weights[d1][d2, j]
         # is the coefficient of x^j in x^(d1+d2)
-        self._planes = np.array(polys, dtype=np.float64)
-        ix = np.arange(e)
+        self._planes = planes.astype(np.float64)
         self._weights = red[ix[:, None] + ix].astype(np.float64)
         self._powers = p ** ix.astype(np.float64)
-        if _element_order(self._encode(x), mul.tolist(), q) != q - 1:
-            raise CertificateError("x does not generate the unit group")
 
     # ---- vectorized elementwise arithmetic on code arrays ----
 

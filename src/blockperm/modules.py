@@ -13,7 +13,7 @@ import numpy as np
 from . import gfq
 from . import meataxe
 from .algebra import FinDimAlgebra
-from .permgrp import Perm, PermGroup
+from .permgrp import Perm
 
 
 class GModule:
@@ -424,7 +424,7 @@ def is_projective(m):
     p = F.p
     if m.group.order() % p:
         return True
-    s = _sylow_cached(m.group, p)
+    s = m.group.sylow_subgroup(p)
     mats = [m.rep_of(x) for x in s.generators]
     stacked = np.vstack([F.sub(M, np.eye(m.dim, dtype=np.int16))
                          for M in mats])
@@ -432,18 +432,6 @@ def is_projective(m):
     if m.dim > top * s.order():
         raise gfq.CertificateError("dim M > |S| dim M/rad(kS)M")
     return m.dim == top * s.order()
-
-
-def _sylow_cached(group, p):
-    if not hasattr(group, "_sylow_cache"):
-        group._sylow_cache = {}
-    if p not in group._sylow_cache:
-        if group.name and group.name.startswith("sym:"):
-            s = PermGroup.sylow_of_symmetric(group.degree, p)
-        else:
-            s = group.sylow_subgroup(p)
-        group._sylow_cache[p] = s
-    return group._sylow_cache[p]
 
 
 # ---------------------------------------------------------------------------

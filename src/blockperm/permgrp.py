@@ -1,15 +1,33 @@
 """Permutation groups on few points: orders, subgroups, cosets, Sylow theory.
 
 Permutations are stored as tuples of images on 0..degree-1 and compose as
-functions: (a * b)(x) = a(b(x)).  Cycle notation in text is 1-based.  Groups
-of order up to a cap (default 10080, override with BLOCKPERM_CAP) can be
-materialized element by element; orders are always available through a
-Schreier-Sims stabilizer chain, which doubles as an independent cross-check.
+functions: (a * b)(x) = a(b(x)).  Cycle notation in text is 1-based.
+
+Groups of order up to a cap (default 10080, override with BLOCKPERM_CAP) can
+be materialized.  The materialized group is an array form: an (order, degree)
+integer array whose row i is the image array of the i-th element in sorted
+(lexicographic image) order, the array of the inverses, and one lookup key
+per row.  The key is the row as big-endian unsigned integers just wide
+enough for the largest point, read as one fixed-width byte string; byte
+strings compare like the image tuples at every degree, so np.searchsorted
+on the sorted keys turns image rows into element indices.  Composition and
+conjugation of whole arrays of elements are gathers: row g of arr[:, x] is
+g * x, of x[arr] is x * g, and of take_along_axis(arr, x[inv]) is
+g * x * g^-1.  Every scan over the group (centralizers, normalizers,
+conjugacy, double cosets, closures, p-subgroup classes) runs on this form.
+
+Orders, and membership in groups that are not materialized, come from a
+Schreier-Sims stabilizer chain; materializing a group checks its element
+count against the chain's order.  Coset actions label a coset gH by its
+least key and never materialize the big group.
 """
 
 import json
 import os
-from functools import reduce
+
+import numpy as np
+
+from .gfq import CertificateError
 
 DEFAULT_CAP = 10080
 
@@ -154,6 +172,8 @@ def _gcd(a, b):
 
 class PermGroup:
     def __init__(self, degree, generators, name=None):
+        if degree < 1:
+            raise ValueError("a permutation group needs at least one point")
         self.degree = degree
         gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
         gens = [g for g in gens if not g.is_identity()]
@@ -163,7 +183,11 @@ class PermGroup:
         self.name = name
         self._chain = None
         self._elements = None
-        self._index = None
+        self._arr = None     # (order, degree) images of the sorted elements
+        self._inv = None     # row i is the image array of elements()[i]^-1
+        self._keys = None    # sorted lookup keys of the rows of _arr
+        self._key_type = np.min_scalar_type(max(degree - 1, 0)) \
+            .newbyteorder(">")  # see the module docstring
 
     # -- construction helpers --
 
@@ -215,7 +239,8 @@ class PermGroup:
         while q <= n:
             nu += n // q
             q *= p
-        assert g.order() == p ** nu
+        if g.order() != p ** nu:
+            raise CertificateError("wreath tower is not a Sylow subgroup")
         return g
 
     # -- orders and membership --
@@ -226,44 +251,57 @@ class PermGroup:
         return self._chain
 
     def order(self):
+        """|G|: the number of elements once materialized, else the product
+        of the stabilizer chain's transversal lengths."""
+        if self._arr is not None:
+            return len(self._arr)
         o = 1
         for _, transversal, _ in self.stabilizer_chain():
             o *= len(transversal)
         return o
 
     def __contains__(self, g):
-        if self._index is not None:
-            return g.img in self._index
+        if self._arr is not None:
+            return bool(self._find(np.array([g.img]))[1][0])
         return _sift(self.stabilizer_chain(), g).is_identity()
 
-    def elements(self, cap=None):
-        """All elements as a sorted list of Perms; requires order <= cap."""
-        if self._elements is None:
+    def image_array(self, cap=None):
+        """The elements as an (order, degree) array of images, sorted like
+        elements(); requires order <= cap.  The element count is checked
+        against the Schreier-Sims order."""
+        if self._arr is None:
             cap = cap or element_cap()
             n = self.order()
             if n > cap:
                 raise ResourceCap(
                     "group of order %d exceeds element cap %d" % (n, cap))
-            seen = {Perm.identity(self.degree).img}
-            frontier = [Perm.identity(self.degree)]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for s in self.generators:
-                        y = s * x
-                        if y.img not in seen:
-                            seen.add(y.img)
-                            nxt.append(y)
-                frontier = nxt
-            elems = sorted(Perm(t) for t in seen)
-            assert len(elems) == n
-            self._elements = elems
-            self._index = {g.img: i for i, g in enumerate(elems)}
+            arr, keys = self._span(self._generator_array())
+            if len(arr) != n:
+                raise CertificateError("%d elements found for a group of "
+                                       "order %d" % (len(arr), n))
+            arr = arr[np.argsort(self._keys_of(arr))]
+            inv = np.empty_like(arr)
+            inv[np.arange(n)[:, None], arr] = np.arange(self.degree)
+            arr.flags.writeable = False
+            self._arr, self._inv, self._keys = arr, inv, keys
+        return self._arr
+
+    def elements(self, cap=None):
+        """All elements as a sorted list of Perms; requires order <= cap."""
+        if self._elements is None:
+            self._elements = [Perm(r) for r in self.image_array(cap).tolist()]
         return self._elements
 
+    def indices(self, rows):
+        """Positions in elements() of the permutations with the given image
+        arrays (one per row); KeyError if one is not in the group."""
+        pos, found = self._find(rows)
+        if not found.all():
+            raise KeyError("permutation not in the group")
+        return pos
+
     def index_of(self, g):
-        self.elements()
-        return self._index[g.img]
+        return int(self.indices(np.array([g.img]))[0])
 
     def element_set(self):
         return frozenset(g.img for g in self.elements())
@@ -278,26 +316,85 @@ class PermGroup:
         return PermGroup(self.degree, [], name="1")
 
     def with_small_generators(self):
-        """The same group on a greedy short generating set.
+        """The same group on a greedy short generating set: each element,
+        in sorted order, that lies outside the span of the ones before.
 
         Useful after normalizer/centralizer, which return every element as a
         generator.  The element cache is carried over."""
-        target = self.order()
+        arr = self.image_array()
         gens = []
-        cur = 1
-        for g in self.elements():
-            if g.order() == 1:
-                continue
-            cand = PermGroup(self.degree, gens + [g])
-            if cand.order() > cur:
-                gens.append(g)
-                cur = cand.order()
-                if cur == target:
-                    break
-        grp = PermGroup(self.degree, gens, name=self.name)
-        grp._elements = self._elements
-        grp._index = self._index
+        inside = np.zeros(len(arr), dtype=bool)
+        inside[0] = True  # the identity sorts first
+        while not inside.all():
+            gens.append(int(np.argmin(inside)))
+            inside[self.indices(self._span(arr[gens])[0])] = True
+        elems = self.elements()
+        grp = PermGroup(self.degree, [elems[i] for i in gens], name=self.name)
+        grp._adopt(self, np.arange(len(arr)))
         return grp
+
+    # -- the array form --
+
+    def _generator_array(self):
+        return np.array([g.img for g in self.generators],
+                        dtype=np.intp).reshape(-1, self.degree)
+
+    def _keys_of(self, rows):
+        rows = np.ascontiguousarray(rows, dtype=self._key_type)
+        width = rows.shape[1] * rows.itemsize
+        return rows.view("S%d" % width).reshape(len(rows))
+
+    def _span(self, gens):
+        """(rows, sorted keys) of the group generated by the image rows
+        gens, found breadth first, a whole frontier times each generator
+        per step."""
+        frontier = np.arange(self.degree)[None, :]
+        rows, keys = [frontier], self._keys_of(frontier)
+        while len(frontier):
+            # row (s, j) is gens[s] * frontier[j]
+            cand = gens[:, frontier].reshape(-1, self.degree)
+            ck, first = np.unique(self._keys_of(cand), return_index=True)
+            new = ~_locate(keys, ck)[1]
+            frontier = cand[first[new]]
+            rows.append(frontier)
+            keys = np.sort(np.concatenate([keys, ck[new]]))
+        return np.concatenate(rows), keys
+
+    def _adopt(self, big, which):
+        """Take big.elements()[i] for the ascending indices i in which
+        (a subgroup) as this group's elements."""
+        self._arr = big._arr[which]
+        self._arr.flags.writeable = False
+        self._inv = big._inv[which]
+        self._keys = big._keys[which]
+        elems = big.elements()
+        self._elements = [elems[i] for i in which]
+
+    def _find(self, rows):
+        """(positions, found) of image rows among the sorted elements."""
+        self.image_array()
+        return _locate(self._keys, self._keys_of(rows))
+
+    def _conjugates(self, x):
+        """Row g is the image array of elements()[g] * x * elements()[g]^-1."""
+        arr = self.image_array()
+        return np.take_along_axis(arr, np.asarray(x.img)[self._inv], axis=1)
+
+    def _from_mask(self, mask):
+        """The subgroup of the elements under mask, each a generator."""
+        which = np.flatnonzero(mask)
+        elems = self.elements()
+        grp = PermGroup(self.degree, [elems[i] for i in which])
+        grp._adopt(self, which)
+        return grp
+
+    def _conjugates_in(self, h, conj):
+        """Mask of the g for which row g of every array in conj (each a
+        _conjugates result) is an element of h."""
+        mask = np.ones(len(self.image_array()), dtype=bool)
+        for rows in conj:
+            mask &= h._find(rows)[1]
+        return mask
 
     # -- orbits and cosets --
 
@@ -320,89 +417,76 @@ class PermGroup:
 
         Returns (reps, images) with reps[0] the identity, reps a list of coset
         representatives in BFS order, and images[s][i] the index of
-        generators[s] * reps[i]'s coset.  Deterministic.
+        generators[s] * reps[i]'s coset.  Deterministic.  A coset is labelled
+        by the least key over g*H, computed for a whole frontier of
+        candidates g at once; self is never materialized.
         """
-        helems = h.elements()
-        idx = {}
-        reps = []
+        hel = h.image_array()
+        gens = self._generator_array()
+        chunk = max(1, 2 ** 16 // (len(hel) * self.degree))
 
-        def canon(g):
-            return min((g * x).img for x in helems)
+        def labels(rows):
+            out = []
+            for i in range(0, len(rows), chunk):
+                keys = self._keys_of(rows[i:i + chunk][:, hel]
+                                     .reshape(-1, self.degree))
+                keys = keys.reshape(-1, len(hel))
+                out.extend(keys[np.arange(len(keys)), keys.argmin(1)].tolist())
+            return out
 
-        def locate(g):
-            key = canon(g)
-            if key not in idx:
-                idx[key] = len(reps)
-                reps.append(g)
-            return idx[key]
-
-        locate(Perm.identity(self.degree))
-        imgmaps = [{} for _ in self.generators]
-        i = 0
-        while i < len(reps):
-            for s, gen in enumerate(self.generators):
-                imgmaps[s][i] = locate(gen * reps[i])
-            i += 1
-        images = [[m[i] for i in range(len(reps))] for m in imgmaps]
-        assert len(reps) * h.order() == self.order()
-        return reps, images
+        ident = np.arange(self.degree)[None, :]
+        idx = {labels(ident)[0]: 0}
+        reps = [ident[0]]
+        images = [[] for _ in self.generators]
+        done = 0
+        while done < len(reps):
+            front = np.array(reps[done:])
+            # candidate (j, s) is generators[s] * reps[done + j]
+            cand = gens[:, front].transpose(1, 0, 2).reshape(-1, self.degree)
+            for c, key in enumerate(labels(cand)):
+                if key not in idx:
+                    idx[key] = len(reps)
+                    reps.append(cand[c])
+                images[c % len(gens)].append(idx[key])
+            done += len(front)
+        if len(reps) * h.order() != self.order():
+            raise CertificateError("coset count times |H| is not |G|")
+        return [Perm(r) for r in np.array(reps).tolist()], images
 
     def double_cosets(self, p, q):
         """The double cosets P\\G/Q as (representative, size) pairs; each
         representative is the least element of its coset."""
+        arr = self.image_array()
+        moves = [self.indices(np.asarray(x.img)[arr]) for x in p.generators]
+        moves += [self.indices(arr[:, np.asarray(y.img)])
+                  for y in q.generators]
+        _labels, first, sizes = np.unique(orbit_labels(moves, len(arr)),
+                                          return_index=True,
+                                          return_counts=True)
         elems = self.elements()
-        pel = p.elements()
-        qel = q.elements()
-        marked = [False] * len(elems)
-        out = []
-        for i, g in enumerate(elems):
-            if marked[i]:
-                continue
-            size = 0
-            for x in pel:
-                xg = x * g
-                for y in qel:
-                    j = self.index_of(xg * y)
-                    if not marked[j]:
-                        marked[j] = True
-                        size += 1
-            out.append((g, size))
-        return out
+        return [(elems[i], int(s)) for i, s in zip(first, sizes)]
 
     # -- normalizers, centralizers, conjugacy --
 
     def normalizer(self, h):
-        hset = h.element_set()
-        gens = list(h.generators)
-        found = []
-        for g in self.elements():
-            gi = g.inv()
-            if all((g * x * gi).img in hset for x in h.generators):
-                found.append(g)
-        grp = PermGroup(self.degree, found, name=None)
-        grp._elements = sorted(found)
-        grp._index = {x.img: i for i, x in enumerate(grp._elements)}
-        del gens
-        return grp
+        return self._from_mask(self._conjugates_in(
+            h, [self._conjugates(x) for x in h.generators]))
 
     def centralizer(self, h):
-        found = [g for g in self.elements()
-                 if all(g * x == x * g for x in h.generators)]
-        grp = PermGroup(self.degree, found)
-        grp._elements = sorted(found)
-        grp._index = {x.img: i for i, x in enumerate(grp._elements)}
-        return grp
+        arr = self.image_array()
+        mask = np.ones(len(arr), dtype=bool)
+        for x in h.generators:
+            xa = np.asarray(x.img)
+            mask &= (arr[:, xa] == xa[arr]).all(axis=1)
+        return self._from_mask(mask)
 
     def conjugating_element(self, h1, h2):
-        """Some g in self with g h1 g^-1 == h2, or None."""
+        """The least g in self with g h1 g^-1 == h2, or None."""
         if h1.order() != h2.order():
             return None
-        h2set = h2.element_set()
-        for g in self.elements():
-            gi = g.inv()
-            if all((g * x * gi).img in h2set for x in h1.generators):
-                return g
-        return None
+        mask = self._conjugates_in(
+            h2, [self._conjugates(x) for x in h1.generators])
+        return self.elements()[int(np.argmax(mask))] if mask.any() else None
 
     def are_conjugate_subgroups(self, h1, h2):
         return self.conjugating_element(h1, h2) is not None
@@ -416,40 +500,55 @@ class PermGroup:
 
         Classes are built level by level: each subgroup of order p^(k+1)
         normalizes one of order p^k, so extending each class rep Q by
-        p-elements x of N(Q) with x^p in Q reaches every class.  The result
-        is cached per prime.
+        p-elements x of N(Q) with x^p in Q reaches every class.  Such an x
+        outside Q gives <Q, x> = Q u xQ u ... u x^(p-1)Q of order p|Q|, so
+        an x inside a subgroup already built from Q gives that subgroup
+        again and is skipped.  The result is cached per prime.
         """
         if not hasattr(self, "_psub_cache"):
             self._psub_cache = {}
         if p in self._psub_cache:
             return self._psub_cache[p]
+        arr = self.image_array()
+        elems = self.elements()
+        power = arr
+        for _ in range(p - 1):
+            power = np.take_along_axis(arr, power, axis=1)
+        pth = self.indices(power)  # index of x^p for each x
         trivial = self.trivial_subgroup()
-        trivial._elements = [Perm.identity(self.degree)]
-        trivial._index = {Perm.identity(self.degree).img: 0}
+        trivial._adopt(self, [0])
         classes = [trivial]
         level = [trivial]
         while level:
             nxt = []
             seen_sets = set()
             for qrep in level:
-                n = self.normalizer(qrep)
-                qset = qrep.element_set()
-                for x in n.elements():
-                    if x.img in qset:
+                qarr = qrep.image_array()
+                in_q = np.zeros(len(arr), dtype=bool)
+                in_q[self.indices(qarr)] = True
+                qconj = [self._conjugates(x) for x in qrep.generators]
+                covered = in_q.copy()
+                normal = self._conjugates_in(qrep, qconj)
+                for x in np.flatnonzero(normal & ~in_q & in_q[pth]):
+                    if covered[x]:
                         continue
-                    xp = reduce(lambda a, b: a * b, [x] * p)
-                    if xp.img not in qset:
-                        continue
-                    cand = self.subgroup(qrep.generators + [x])
-                    if cand.order() != p * qrep.order():
-                        continue
-                    key = frozenset(g.img for g in cand.elements())
+                    cosets = [qarr]
+                    for _ in range(p - 1):
+                        cosets.append(arr[x][cosets[-1]])
+                    cand = np.sort(self.indices(np.concatenate(cosets)))
+                    if not np.diff(cand).all():
+                        raise CertificateError("<Q, x> has the wrong order")
+                    covered[cand] = True
+                    key = cand.tobytes()
                     if key in seen_sets:
                         continue
                     seen_sets.add(key)
-                    if any(self.are_conjugate_subgroups(cand, r) for r in nxt):
+                    conj = qconj + [self._conjugates(elems[x])]
+                    if any(self._conjugates_in(r, conj).any() for r in nxt):
                         continue
-                    nxt.append(cand)
+                    sub = self.subgroup(qrep.generators + [elems[x]])
+                    sub._adopt(self, cand)
+                    nxt.append(sub)
             classes.extend(nxt)
             level = nxt
         self._psub_cache[p] = classes
@@ -463,7 +562,8 @@ class PermGroup:
         while n % p == 0:
             n //= p
             pk *= p
-        assert best.order() == pk
+        if best.order() != pk:
+            raise CertificateError("largest p-subgroup class is not Sylow")
         return best
 
     # -- serialization --
@@ -480,6 +580,24 @@ class PermGroup:
         return "PermGroup(degree=%d, %d gens%s)" % (
             self.degree, len(self.generators),
             ", name=%s" % self.name if self.name else "")
+
+
+def _locate(sorted_keys, keys):
+    """(positions, found) of keys in a sorted key array."""
+    pos = np.searchsorted(sorted_keys, keys)
+    pos[pos == len(sorted_keys)] = 0
+    return pos, sorted_keys[pos] == keys
+
+
+def orbit_labels(maps, n):
+    """Orbit number of each of 0..n-1 under index maps (permutations of
+    range(n)); orbits are numbered in the order of their least members."""
+    label = np.arange(n)
+    while True:
+        nxt = np.minimum.reduce([label] + [label[m] for m in maps])
+        if np.array_equal(nxt, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = nxt
 
 
 def _wreath_tower_gens(offset, size, p, degree):
@@ -560,7 +678,8 @@ def _schreier_sims(generators, degree):
             for s in gens:
                 sg = transversal[s(x)].inv() * s * transversal[x]
                 res = _sift(chain[lvl + 1:], sg)
-                assert res.is_identity(), "stabilizer chain incomplete"
+                if not res.is_identity():
+                    raise CertificateError("stabilizer chain incomplete")
     return chain
 
 

@@ -263,18 +263,16 @@ def block_of_weight(ga, weight, seed=0):
     lam_small = gan.central_character(target.coords)
     class_of_n, _lists_n = gan.conjugacy_classes()
     cent = ga.group.centralizer(q)
-    cent_idx_in_n = [gan.idx[g.img] for g in cent.elements()]
+    rows = cent.image_array()
+    cent_in_n = gan.group.indices(rows)
     # transported character on the big classes
-    _class_of, lists = ga.conjugacy_classes()
-    big_class_sets = [set(int(i) for i in l) for l in lists]
-    elem_index_big = {g.img: i for i, g in enumerate(ga.elems)}
+    class_of, lists = ga.conjugacy_classes()
+    class_in_g = class_of[ga.group.indices(rows)]
     lam = []
-    for a, cls in enumerate(big_class_sets):
+    for a in range(len(lists)):
         val = 0
-        seen_nclasses = np.zeros(len(_lists_n), dtype=np.int64)
-        for j in cent_idx_in_n:
-            if elem_index_big[gan.elems[j].img] in cls:
-                seen_nclasses[class_of_n[j]] += 1
+        seen_nclasses = np.bincount(class_of_n[cent_in_n[class_in_g == a]],
+                                    minlength=len(_lists_n))
         # the truncation is a 0/1 combination of N-class sums
         for nc in np.nonzero(seen_nclasses)[0]:
             assert seen_nclasses[nc] == len(_lists_n[nc]), \

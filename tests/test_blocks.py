@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockperm import blocks, gfq, meataxe, modules
-from blockperm.permgrp import PermGroup, ResourceCap, parse_group
+from blockperm.permgrp import Perm, PermGroup, ResourceCap, parse_group
 
 
 def test_group_algebra_convolution_matches_group_law():
@@ -33,7 +33,7 @@ def test_block_idempotents_are_orthogonal_and_sum_to_one():
         for j in range(i + 1, len(bl)):
             assert not ga.convolve(bl[i].evec, bl[j].evec).any()
     ident = np.zeros(ga.n, dtype=np.int16)
-    ident[ga.idx[tuple(range(g.degree))]] = 1
+    ident[g.index_of(Perm.identity(g.degree))] = 1
     assert np.array_equal(total, ident)
 
 

@@ -166,6 +166,16 @@ def test_certificates_run_under_python_O():
     assert proc.returncode == 1 and "CertificateError" in proc.stderr
 
 
+def test_permgrp_certificates_run_under_python_O():
+    """Enumerating S_4 against a wrong chain order fails its element-count
+    check with asserts stripped."""
+    proc = _python_O("-c", "from blockperm.permgrp import PermGroup; "
+                     "g = PermGroup.symmetric(4); g.order = lambda: 25; "
+                     "g.elements()")
+    assert proc.returncode == 1 and "CertificateError" in proc.stderr
+    assert "24 elements found for a group of order 25" in proc.stderr
+
+
 @pytest.mark.parametrize("suite", ["klein4", "nilpotent"])
 def test_paper_check_golden_under_python_O(suite):
     """The fast suites still match their golden reports with asserts

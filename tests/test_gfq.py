@@ -38,6 +38,47 @@ def test_associativity_sampled(p, e):
     assert np.array_equal(F.add(F.add(a, b), c), F.add(a, F.add(b, c)))
 
 
+EXTENSION_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11, 13) for e in range(2, 9)
+                    if p ** e <= 256]
+
+
+def _reference_tables(F):
+    """add, mul, neg, inv tables one polynomial product at a time."""
+    p, e, q = F.p, F.e, F.q
+
+    def decode(c):
+        return tuple(c // p ** i % p for i in range(e))
+
+    def encode(coeffs):
+        return sum(x * p ** i for i, x in enumerate(coeffs))
+
+    add = [[encode([(x + y) % p for x, y in zip(decode(a), decode(b))])
+            for b in range(q)] for a in range(q)]
+    mul = [[encode(gfq._poly_mul_mod(decode(a), decode(b), F.modulus, p))
+            for b in range(q)] for a in range(q)]
+    neg = [encode([-x % p for x in decode(a)]) for a in range(q)]
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
+    return add, mul, neg, inv
+
+
+@pytest.mark.parametrize("p,e", EXTENSION_FIELDS)
+def test_extension_tables_match_polynomial_arithmetic(p, e):
+    F = gfq.GF.get(p, e)
+    add, mul, neg, inv = _reference_tables(F)
+    assert F._add_table.tolist() == add
+    assert F._mul_table.tolist() == mul
+    assert F._neg_table.tolist() == neg
+    assert F._inv_table.tolist() == inv
+
+
+def test_non_primitive_modulus_is_refused(monkeypatch):
+    # x^2 + 1 is irreducible over GF(3) but x has order 4, not 8
+    monkeypatch.setattr(gfq.GF, "_find_modulus", lambda self: (1, 0, 1))
+    monkeypatch.setattr(gfq, "_FIELD_CACHE", {})
+    with pytest.raises(gfq.CertificateError):
+        gfq.GF(3, 2)
+
+
 def test_gf_singleton_and_parse():
     assert gfq.GF.get(5) is gfq.GF.get(5, 1)
     assert gfq.GF.parse("2^3") is gfq.GF.get(2, 3)

@@ -221,3 +221,25 @@ def test_gmodule_takes_reduced_codes():
     assert np.array_equal(m.mats[0], [[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         GModule(g, gfq.GF.get(2, 2), [np.array([[0, 4], [1, 0]])])
+
+
+def _free_over(m, s):
+    """The freeness test of is_projective over a given Sylow subgroup."""
+    F = m.field
+    stacked = np.vstack([F.sub(m.rep_of(x), np.eye(m.dim, dtype=np.int16))
+                         for x in s.generators])
+    return m.dim == (m.dim - gfq.rank(F, stacked)) * s.order()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_projective_does_not_depend_on_the_sylow_subgroup(n, p):
+    """is_projective uses the group's own Sylow class representative; the
+    verdicts agree with the wreath-product Sylow subgroup of S_n on every
+    summand of the Sylow permutation module k[S_n/S]."""
+    g = PermGroup.symmetric(n)
+    F = gfq.GF.get(p)
+    wreath = PermGroup.sylow_of_symmetric(n, p)
+    m = GModule.permutation(g, g.sylow_subgroup(p), F)
+    for x in modules.decompose(m, seed=0):
+        assert modules.is_projective(x.module) == _free_over(x.module, wreath)
