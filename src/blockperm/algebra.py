@@ -31,10 +31,14 @@ class FinDimAlgebra:
         # the gfq kernels take reduced codes; this is where they enter
         self.mult = field.array(mult)
         d = self.mult.shape[0]
-        assert self.mult.shape == (d, d, d)
+        if self.mult.shape != (d, d, d):
+            raise ValueError("structure constants of shape %r are not d x d x d"
+                             % (self.mult.shape,))
         self.dim = d
         self.one = field.array(one)
-        assert self.one.shape == (d,)
+        if self.one.shape != (d,):
+            raise ValueError("identity of shape %r in a %d-dim algebra"
+                             % (self.one.shape, d))
         self.labels = labels
         self._lmats = None
         self._rmats = None
@@ -55,26 +59,18 @@ class FinDimAlgebra:
         return self._rmats
 
     def lmul_of(self, x):
-        F = self.field
-        if F.e == 1:
-            M = np.tensordot(np.asarray(x, dtype=np.int64),
-                             self.mult.astype(np.int64), axes=([0], [0])) % F.p
-            return M.T.astype(np.int16)
-        acc = np.zeros((self.dim, self.dim), dtype=np.int16)
-        for i in np.nonzero(x)[0]:
-            acc = F.add(acc, F.mul(np.int16(x[i]), self.left_mats()[int(i)]))
-        return acc
+        """Matrix of y -> x y: entry (k, j) is sum_i x_i c[i, j, k]."""
+        d = self.dim
+        x = np.asarray(x, dtype=np.int16)
+        return self.field.matmul(x[None, :], self.mult.reshape(d, d * d)) \
+            .reshape(d, d).T
 
     def rmul_of(self, x):
-        F = self.field
-        if F.e == 1:
-            M = np.tensordot(np.asarray(x, dtype=np.int64),
-                             self.mult.astype(np.int64), axes=([0], [1])) % F.p
-            return M.T.astype(np.int16)
-        acc = np.zeros((self.dim, self.dim), dtype=np.int16)
-        for i in np.nonzero(x)[0]:
-            acc = F.add(acc, F.mul(np.int16(x[i]), self.right_mats()[int(i)]))
-        return acc
+        """Matrix of y -> y x: entry (k, j) is sum_i c[j, i, k] x_i, one
+        row vector times each matrix c[j] of the stack."""
+        x = np.asarray(x, dtype=np.int16)
+        return self.field.matmul(x[None, :], self.mult) \
+            .reshape(self.dim, self.dim).T
 
     def multiply(self, x, y):
         return self.field.matmul(self.lmul_of(x),
@@ -174,13 +170,14 @@ class FinDimAlgebra:
             # verify closure and extract coordinates
             coords = prods[piv, :]
             back = F.matmul(R.T, coords)
-            assert np.array_equal(back, prods), "subspace not closed"
+            if not np.array_equal(back, prods):
+                raise gfq.CertificateError("subspace not closed")
             mult[i] = coords.T
         one = self.one if one_coords is None else np.asarray(one_coords,
                                                              dtype=np.int16)
         oc = one[piv]
-        assert np.array_equal(F.matmul(R.T, oc[:, None])[:, 0], one), \
-            "identity not in subalgebra"
+        if not np.array_equal(F.matmul(R.T, oc[:, None])[:, 0], one):
+            raise gfq.CertificateError("identity not in subalgebra")
         return FinDimAlgebra(F, mult, oc), R, piv
 
     def corner(self, e):
@@ -208,7 +205,8 @@ class FinDimAlgebra:
         if e is None:
             e = self.one
         e = np.asarray(e, dtype=np.int16)
-        assert self.is_idempotent(e)
+        if not self.is_idempotent(e):
+            raise ValueError("e is not an idempotent")
         if not e.any():
             return []
         C, rows, piv = self.corner(e)
@@ -222,7 +220,9 @@ class FinDimAlgebra:
         for t, eb in enumerate(bar_prims):
             if t == len(bar_prims) - 1:
                 f = C.field.sub(C.one, ssum)
-                assert C.is_idempotent(f)
+                if not C.is_idempotent(f):
+                    raise gfq.CertificateError("complement of the lifted "
+                                               "idempotents is not one")
             else:
                 x = C.field.matmul(lift.T, eb[:, None])[:, 0]
                 comp = C.field.sub(C.one, ssum)
@@ -237,13 +237,17 @@ class FinDimAlgebra:
         # sanity: orthogonal decomposition of e
         tot = np.zeros(self.dim, dtype=np.int16)
         for f in out:
-            assert self.is_idempotent(f)
+            if not self.is_idempotent(f):
+                raise gfq.CertificateError("primitive idempotent is not one")
             tot = F.add(tot, f)
-        assert np.array_equal(tot, F.array(e))
+        if not np.array_equal(tot, F.array(e)):
+            raise gfq.CertificateError("primitive idempotents do not sum to e")
         for i in range(len(out)):
             for j in range(i + 1, len(out)):
-                assert not self.multiply(out[i], out[j]).any()
-                assert not self.multiply(out[j], out[i]).any()
+                if self.multiply(out[i], out[j]).any() or \
+                        self.multiply(out[j], out[i]).any():
+                    raise gfq.CertificateError("primitive idempotents %d and "
+                                               "%d are not orthogonal" % (i, j))
         return out
 
     def central_primitive_idempotents(self, seed=0):
@@ -364,17 +368,12 @@ class FinDimAlgebra:
         return gfq.nullspace(F, stacked)
 
     def gram_of_form(self, lam):
-        F = self.field
-        if F.e == 1:
-            G = np.tensordot(self.mult.astype(np.int64),
-                             np.asarray(lam, dtype=np.int64),
-                             axes=([2], [0])) % F.p
-            return G.astype(np.int16)
-        acc = np.zeros((self.dim, self.dim), dtype=np.int16)
-        for k in np.nonzero(lam)[0]:
-            acc = F.add(acc, F.mul(np.int16(lam[k]),
-                                   self.mult[:, :, int(k)]))
-        return acc
+        """Gram matrix of (x, y) -> lam(x y): entry (i, j) is
+        sum_k c[i, j, k] lam_k."""
+        d = self.dim
+        lam = np.asarray(lam, dtype=np.int16)
+        return self.field.matmul(self.mult.reshape(d * d, d),
+                                 lam[:, None]).reshape(d, d)
 
     def is_symmetric(self, seed=0, exhaustive_limit=65536):
         """(flag, witnesses): search for a nondegenerate central form.
@@ -497,13 +496,7 @@ class FinDimAlgebra:
 
 
 def _combine_rows(F, combo, rows):
-    if F.e == 1:
-        return ((combo.astype(np.int64) @ rows.astype(np.int64)) % F.p
-                ).astype(np.int16)
-    acc = np.zeros(rows.shape[1], dtype=np.int16)
-    for i in np.nonzero(combo)[0]:
-        acc = F.add(acc, F.mul(np.int16(combo[i]), rows[int(i)]))
-    return acc
+    return F.matmul(combo[None, :], rows)[0]
 
 
 def _closure_dim(field, mats, cap):
@@ -574,11 +567,13 @@ def _semisimple_primitives(S, seed):
                 M[j * d:(j + 1) * d, :] = prods
                 b[j * d:(j + 1) * d] = V[j]
             c = gfq.solve(F, M, b)
-            assert c is not None, "no right identity in left ideal"
+            if c is None:
+                raise gfq.CertificateError("no right identity in left ideal")
             g = F.matmul(V.T, c[:, None])[:, 0]
-            assert alg.is_idempotent(g) and g.any()
             g2 = F.sub(alg.one, g)
-            assert g2.any()
+            if not (alg.is_idempotent(g) and g.any() and g2.any()):
+                raise gfq.CertificateError("right identity of a proper left "
+                                           "ideal is not a proper idempotent")
             for part in (g, g2):
                 C, rows2, piv2 = alg.corner(part)
                 emb2 = F.matmul(rows2, embed) if embed is not None else rows2
@@ -625,7 +620,9 @@ def algebra_shape(a, seed=0, _check_op=True):
         ebar = F.matmul(proj, np.asarray(e, np.int16)[:, None])[:, 0]
         hits = [t for t, z in enumerate(zbars)
                 if abar.multiply(ebar, z).any()]
-        assert len(hits) == 1, "idempotent image meets %d factors" % len(hits)
+        if len(hits) != 1:
+            raise gfq.CertificateError("idempotent image meets %d factors"
+                                       % len(hits))
         return hits[0]
 
     cls = [class_of(e) for e in prims]
@@ -635,7 +632,9 @@ def algebra_shape(a, seed=0, _check_op=True):
     simple_dims = []
     for c in classes:
         factor_dim = gfq.rank(F, abar.rmul_of(zbars[c]))
-        assert factor_dim % counts[c] == 0
+        if factor_dim % counts[c]:
+            raise gfq.CertificateError("factor of dim %d is not %d equal "
+                                       "simples" % (factor_dim, counts[c]))
         simple_dims.append(factor_dim // counts[c])
     # dim of the division algebra End(S_c)
     ddims = []
@@ -660,7 +659,10 @@ def algebra_shape(a, seed=0, _check_op=True):
     for i in range(s):
         for j in range(s):
             d = corner_rank(j, full, i)
-            assert d % ddims[j] == 0
+            if d % ddims[j]:
+                raise gfq.CertificateError("Cartan corner of dim %d over a "
+                                           "%d-dim division algebra"
+                                           % (d, ddims[j]))
             cartan[i][j] = d // ddims[j]
     powers = a.radical_powers(seed)
     loewy = []
@@ -671,7 +673,10 @@ def algebra_shape(a, seed=0, _check_op=True):
             for j in range(s):
                 d = corner_rank(j, powers[lv], i) \
                     - corner_rank(j, powers[lv + 1], i)
-                assert d % ddims[j] == 0
+                if d % ddims[j]:
+                    raise gfq.CertificateError("Loewy layer of dim %d over a "
+                                               "%d-dim division algebra"
+                                               % (d, ddims[j]))
                 layer.extend([j] * (d // ddims[j]))
             if layer:
                 layers.append(layer)

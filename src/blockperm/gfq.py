@@ -12,11 +12,15 @@ at their boundary with GF.array), so the kernels cast codes straight to
 float64 and never reduce their inputs.  Matrix products go through float64
 BLAS and reduce once per product; over extension fields the product works
 on coefficient planes, e float64 products for GF(p^e), and reduces all its
-output planes at once.  The blocked prime-field echelon reduces once per
-block update.  Every reduction goes through _reduce, which is exact while
-the float64 entries stay below 2**51 in absolute value; each caller passes
-an a-priori bound from the shapes, and _reduce raises CertificateError if
-that bound could be exceeded.  All row reduction is exact.
+output planes at once.  Small products over GF(2^e) skip the planes: a
+code's bits are its coefficients, so they are a gather from the
+multiplication table and an XOR reduce.  The blocked prime-field echelon
+reduces once per block update.  Every reduction goes through _reduce, which
+is exact while the float64 entries stay below 2**51 in absolute value; each
+caller passes an a-priori bound from the shapes, and _reduce raises
+CertificateError if that bound could be exceeded.  Small echelon forms are
+whole-array row operations on int64 mod p or on the arithmetic tables.
+All row reduction is exact.
 """
 
 import numpy as np
@@ -133,6 +137,7 @@ class GF:
         self.q = p ** e
         if self.q > 256:
             raise ValueError("field too large: q = %d > 256" % self.q)
+        self._scalar_tables = None
         if e == 1:
             self.modulus = None
             inv = np.zeros(p, dtype=np.int16)
@@ -277,15 +282,18 @@ class GF:
             raise ZeroDivisionError("inverting zero in %r" % self)
         return self._inv_table[a]
 
-    def pow_scalar(self, a, k):
-        acc = 1
-        base = int(a)
-        while k:
-            if k & 1:
-                acc = int(self.mul(acc, base))
-            base = int(self.mul(base, base))
-            k >>= 1
-        return acc
+    def tables(self):
+        """(add, mul, neg, inv) for scalar loops such as polys, built on
+        first use: one byte per code (q <= 256), add and mul as lists of
+        rows, so add[a][b] and neg[a] are ints."""
+        if self._scalar_tables is None:
+            c = np.arange(self.q)
+            self._scalar_tables = tuple(
+                [r.tobytes() for r in t.astype(np.uint8)] if t.ndim == 2
+                else t.astype(np.uint8).tobytes()
+                for t in (self.add(c[:, None], c), self.mul(c[:, None], c),
+                          self.neg(c), self._inv_table))
+        return self._scalar_tables
 
     def sum(self, a, axis=None):
         if self.e == 1:
@@ -299,11 +307,22 @@ class GF:
         return np.asarray(enc, dtype=np.int16)
 
     def matmul(self, A, B):
+        """A @ B for a matrix A and a matrix or a stack of matrices B.
+
+        Over GF(2^e) a product whose gather temporary (m*k*n entries, times
+        the stack depth) is at most 1024 e^2 is one gather from the
+        multiplication table and an XOR reduce over k.  The plane kernel
+        makes e^2 BLAS products, so the crossover grows with e: measured
+        near 4096 entries for e = 2 and past 2^18 for e = 8 (CHANGES.md).
+        Odd characteristic extension fields always take the plane kernel."""
         A = np.asarray(A)
         B = np.asarray(B)
         if self.e == 1:
             return _matmul_prime(self.p, A, B)
         p, e = self.p, self.e
+        if p == 2 and A.shape[0] * B.size <= 1024 * e * e:
+            return np.bitwise_xor.reduce(
+                self._mul_table[A[:, :, None], B[..., None, :, :]], axis=-2)
         PA = np.take(self._planes.T, A, axis=1)  # PA[d]: plane d of A
         PB = self._planes[B]                     # planes of B on a last axis
         n = B.shape[-1]
@@ -364,32 +383,44 @@ def _echelon_core(field, A, limit):
 
 
 def _echelon_generic(field, A, limit):
-    F = field
-    A = A.copy()
-    nr, nc = A.shape
+    """RREF by a few whole-array row operations per pivot: on int64 mod p
+    over prime fields, on the arithmetic tables over extension fields."""
+    inv = field._inv_table
+    if field.e == 1:
+        p = field.p
+        A = A.astype(np.int64)
+
+        def scale(row, c):
+            return row * c % p
+
+        def eliminate(A, f, row):
+            return (A - f[:, None] * row) % p
+    else:
+        add, mul, neg = field._add_table, field._mul_table, field._neg_table
+        A = A.copy()
+
+        def scale(row, c):
+            return mul[row, c]
+
+        def eliminate(A, f, row):
+            return add[A, mul[neg[f][:, None], row]]
     pivots = []
-    prow = 0
     for c in range(limit):
-        if prow >= nr:
+        prow = len(pivots)
+        if prow == A.shape[0]:
             break
-        col = A[prow:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
+        nz = A[prow:, c].nonzero()[0]
+        if not len(nz):
             continue
         r = prow + int(nz[0])
         if r != prow:
             A[[prow, r]] = A[[r, prow]]
-        inv = F.inv(int(A[prow, c]))
-        A[prow] = F.mul(A[prow], inv)
+        A[prow] = scale(A[prow], inv[A[prow, c]])
         f = A[:, c].copy()
         f[prow] = 0
-        mask = f != 0
-        if mask.any():
-            upd = F.mul(f[mask][:, None], A[prow][None, :])
-            A[mask] = F.sub(A[mask], upd)
+        A = eliminate(A, f, A[prow])
         pivots.append(c)
-        prow += 1
-    return A[:prow], pivots
+    return A[:len(pivots)].astype(np.int16), pivots
 
 
 def _echelon_prime_blocked(p, A, limit):

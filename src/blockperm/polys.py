@@ -1,21 +1,35 @@
 """Univariate polynomial arithmetic and factorization over GF(p^e).
 
-Polynomials are numpy int16 arrays of field codes, index = degree, with no
-trailing zeros (the zero polynomial is the empty array).  Factorization runs
-squarefree decomposition, then distinct-degree, then equal-degree splitting,
-so callers that only want a smallest-degree irreducible factor can stop
-early via smallest_irreducible_factor.
+The public functions take and return numpy int16 arrays of field codes,
+index = degree, with no trailing zeros (the zero polynomial is the empty
+array).  Inside, a polynomial is a Python list of int codes and each
+coefficient operation is a lookup in the field's byte tables (GF.tables):
+at the degrees that occur here a list loop costs less than one numpy
+call.  Factorization runs squarefree decomposition, then
+distinct-degree, then equal-degree splitting (Cantor-Zassenhaus).
 """
 
 import numpy as np
 
+from .gfq import CertificateError
+
+
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _lst(f):
+    return _trim(np.asarray(f, dtype=np.int16).tolist())
+
+
+def _arr(f):
+    return np.array(f, dtype=np.int16)
+
 
 def normalize(f):
-    f = np.asarray(f, dtype=np.int16)
-    nz = np.nonzero(f)[0]
-    if len(nz) == 0:
-        return np.zeros(0, dtype=np.int16)
-    return f[: int(nz[-1]) + 1].copy()
+    return _arr(_lst(f))
 
 
 def degree(f):
@@ -27,256 +41,232 @@ def is_zero(f):
 
 
 def constant(field, c):
-    return normalize(np.array([c], dtype=np.int16))
+    return normalize([c])
 
 
 def x_poly():
     return np.array([0, 1], dtype=np.int16)
 
 
-def add(field, f, g):
-    n = max(len(f), len(g))
-    a = np.zeros(n, dtype=np.int16)
-    b = np.zeros(n, dtype=np.int16)
-    a[: len(f)] = f
-    b[: len(g)] = g
-    return normalize(field.add(a, b))
+def _add(T, f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    A = T[0]
+    return _trim([A[a][b] for a, b in zip(f, g)] + f[len(g):])
 
 
-def sub(field, f, g):
-    n = max(len(f), len(g))
-    a = np.zeros(n, dtype=np.int16)
-    b = np.zeros(n, dtype=np.int16)
-    a[: len(f)] = f
-    b[: len(g)] = g
-    return normalize(field.sub(a, b))
+def _scale(T, f, c):
+    Mc = T[1][c]
+    return _trim([Mc[a] for a in f])
 
 
-def scale(field, f, c):
-    return normalize(field.mul(np.asarray(f, dtype=np.int16), np.int16(c)))
-
-
-def mul(field, f, g):
-    if is_zero(f) or is_zero(g):
-        return np.zeros(0, dtype=np.int16)
-    if field.e == 1:
-        out = np.convolve(np.asarray(f, dtype=np.int64),
-                          np.asarray(g, dtype=np.int64)) % field.p
-        return normalize(out.astype(np.int16))
-    out = np.zeros(len(f) + len(g) - 1, dtype=np.int16)
+def _mul(T, f, g):
+    if not f or not g:
+        return []
+    A, M = T[0], T[1]
+    out = [0] * (len(f) + len(g) - 1)
     for i, c in enumerate(f):
         if c:
-            out[i:i + len(g)] = field.add(out[i:i + len(g)],
-                                          field.mul(np.int16(c), g))
-    return normalize(out)
+            Mc = M[c]
+            out[i:i + len(g)] = [A[a][Mc[b]]
+                                 for a, b in zip(out[i:i + len(g)], g)]
+    return out
 
 
-def divmod_poly(field, f, g):
-    if is_zero(g):
+def _divmod(T, f, g):
+    if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = normalize(f)
-    g = normalize(g)
-    if len(f) < len(g):
-        return np.zeros(0, dtype=np.int16), f
-    r = f.copy()
-    q = np.zeros(len(f) - len(g) + 1, dtype=np.int16)
-    ginv = field.inv(int(g[-1]))
+    A, M, N, I = T
     dg = len(g) - 1
+    if len(f) <= dg:
+        return [], list(f)
+    r = list(f)
+    q = [0] * (len(f) - dg)
+    ginv = I[g[-1]]
     for i in range(len(f) - 1, dg - 1, -1):
-        c = r[i]
-        if c:
-            factor = field.mul(np.int16(c), np.int16(ginv))
-            q[i - dg] = factor
-            r[i - dg:i + 1] = field.sub(r[i - dg:i + 1],
-                                        field.mul(np.int16(factor), g))
-    return normalize(q), normalize(r)
+        if r[i]:
+            c = q[i - dg] = M[r[i]][ginv]
+            Mc = M[N[c]]
+            r[i - dg:i] = [A[a][Mc[b]] for a, b in zip(r[i - dg:i], g)]
+    return q, _trim(r[:dg])
 
 
-def mod(field, f, g):
-    return divmod_poly(field, f, g)[1]
+def _monic(T, f):
+    return _scale(T, f, T[3][f[-1]]) if f else f
 
 
-def monic(field, f):
-    f = normalize(f)
-    if is_zero(f):
-        return f
-    return scale(field, f, field.inv(int(f[-1])))
+def _gcd(T, f, g):
+    while g:
+        f, g = g, _divmod(T, f, g)[1]
+    return _monic(T, f)
 
 
-def gcd(field, f, g):
-    f, g = normalize(f), normalize(g)
-    while not is_zero(g):
-        f, g = g, mod(field, f, g)
-    return monic(field, f)
-
-
-def pow_mod(field, base, k, modulus):
-    acc = np.array([1], dtype=np.int16)
-    base = mod(field, base, modulus)
+def _pow_mod(T, base, k, modulus):
+    acc = [1]
+    base = _divmod(T, base, modulus)[1]
     while k:
         if k & 1:
-            acc = mod(field, mul(field, acc, base), modulus)
-        base = mod(field, mul(field, base, base), modulus)
+            acc = _divmod(T, _mul(T, acc, base), modulus)[1]
+        base = _divmod(T, _mul(T, base, base), modulus)[1]
         k >>= 1
     return acc
 
 
-def derivative(field, f):
-    if len(f) <= 1:
-        return np.zeros(0, dtype=np.int16)
-    degs = np.arange(1, len(f), dtype=np.int16)
-    if field.e == 1:
-        return normalize((f[1:].astype(np.int64) * degs) % field.p)
-    coeff = np.array([d % field.p for d in range(1, len(f))], dtype=np.int16)
-    return normalize(field.mul(f[1:], coeff))
+def add(field, f, g):
+    return _arr(_add(field.tables(), _lst(f), _lst(g)))
+
+
+def mul(field, f, g):
+    return _arr(_mul(field.tables(), _lst(f), _lst(g)))
+
+
+def divmod_poly(field, f, g):
+    q, r = _divmod(field.tables(), _lst(f), _lst(g))
+    return _arr(q), _arr(r)
+
+
+def monic(field, f):
+    return _arr(_monic(field.tables(), _lst(f)))
+
+
+def gcd(field, f, g):
+    return _arr(_gcd(field.tables(), _lst(f), _lst(g)))
 
 
 def eval_at(field, f, c):
+    A, M = field.tables()[:2]
     acc = 0
-    for a in f[::-1]:
-        acc = int(field.add(int(field.mul(acc, c)), int(a)))
+    for a in reversed(_lst(f)):
+        acc = A[M[acc][c]][a]
     return acc
 
 
-def _pth_root_poly(field, f):
-    """For f with zero derivative, f(x) = g(x^p); return the p-th root of g's
-    coefficients reassembled, i.e. h with h(x)^p = f(x)."""
-    p = field.p
-    coeffs = f[::p]
-    # c -> c^(q/p) is the inverse of Frobenius
-    k = field.q // p
-    out = np.array([field.pow_scalar(int(c), k) for c in coeffs],
-                   dtype=np.int16)
-    return normalize(out)
+def _derivative(field, f):
+    # the integer i is the prime-subfield code i % p
+    M = field.tables()[1]
+    return _trim([M[i % field.p][c] for i, c in enumerate(f)][1:])
+
+
+def _pth_root(field, f):
+    """For f with zero derivative, f(x) = g(x^p); return h with
+    h(x)^p = f(x), taking c -> c^(q/p), the inverse of Frobenius."""
+    M = field.tables()[1]
+    out = []
+    for c in f[::field.p]:
+        r = 1
+        for _ in range(field.q // field.p):
+            r = M[r][c]
+        out.append(r)
+    return _trim(out)
+
+
+def _squarefree(field, f):
+    T = field.tables()
+    out = {}
+
+    def walk(f, mult):
+        if len(f) < 2:
+            return
+        d = _derivative(field, f)
+        if not d:
+            walk(_pth_root(field, f), mult * field.p)
+            return
+        c = _gcd(T, f, d)
+        w = _divmod(T, f, c)[0]
+        i = 1
+        while len(w) > 1:
+            y = _gcd(T, w, c)
+            g = _monic(T, _divmod(T, w, y)[0])
+            if len(g) > 1:
+                m = mult * i
+                out[m] = _mul(T, out[m], g) if m in out else g
+            w = y
+            c = _divmod(T, c, y)[0]
+            i += 1
+        walk(c, mult)  # leftover is a p-th power
+
+    walk(_monic(T, f), 1)
+    return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
 
 
 def squarefree_decomposition(field, f):
     """List of (g_i, i) with f = prod g_i^i (up to the leading unit), g_i
     squarefree and pairwise coprime."""
-    f = monic(field, f)
-    out = {}
-
-    def accumulate(g, mult):
-        g = monic(field, g)
-        if degree(g) > 0:
-            out[mult] = mul(field, out[mult], g) if mult in out else g
-
-    def walk(f, mult):
-        if degree(f) < 1:
-            return
-        d = derivative(field, f)
-        if is_zero(d):
-            walk(_pth_root_poly(field, f), mult * field.p)
-            return
-        c = gcd(field, f, d)
-        w = divmod_poly(field, f, c)[0]
-        i = 1
-        while degree(w) > 0:
-            y = gcd(field, w, c)
-            accumulate(divmod_poly(field, w, y)[0], mult * i)
-            w = y
-            c = divmod_poly(field, c, y)[0]
-            i += 1
-        walk(c, mult)  # leftover is a p-th power
-
-    walk(f, 1)
-    return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
+    return [(_arr(g), m) for g, m in _squarefree(field, _lst(f))]
 
 
-def distinct_degree_factorization(field, f):
+def _distinct_degree(field, f):
     """For squarefree monic f: list of (product_of_degree_d_factors, d)."""
-    q = field.q
+    T = field.tables()
     out = []
-    x = x_poly()
-    h = x.copy()
+    h = [0, 1]
     d = 0
     rest = f
-    while degree(rest) > 2 * d:
+    while len(rest) - 1 > 2 * d:
         d += 1
-        h = pow_mod(field, h, q, rest)
-        g = gcd(field, rest, sub(field, h, x))
-        if degree(g) > 0:
+        h = _pow_mod(T, h, field.q, rest)  # x^(q^d) mod rest
+        g = _gcd(T, rest, _add(T, h, [0, T[2][1]]))  # gcd(rest, h - x)
+        if len(g) > 1:
             out.append((g, d))
-            rest = divmod_poly(field, rest, g)[0]
-            h = mod(field, h, rest)
-    if degree(rest) > 0:
-        out.append((rest, degree(rest)))
+            rest = _divmod(T, rest, g)[0]
+            h = _divmod(T, h, rest)[1]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
     return out
 
 
-def equal_degree_split(field, f, d, rng):
+def _equal_degree(field, f, d, rng):
     """Split squarefree monic f, all of whose irreducible factors have degree
     d, into its irreducible factors (Cantor-Zassenhaus)."""
-    n = degree(f)
+    n = len(f) - 1
     if n == d:
         return [f]
-    q = field.q
+    T = field.tables()
     while True:
-        r = np.array([int(rng.integers(0, q)) for _ in range(n)],
-                     dtype=np.int16)
-        r = normalize(r)
-        if degree(r) < 1:
+        r = _trim(rng.integers(0, field.q, n).tolist())
+        if len(r) < 2:
             continue
-        g = gcd(field, f, r)
-        if 0 < degree(g) < n:
-            pass
-        elif field.p == 2:
-            # trace map over GF(2^(e*d))
-            t = np.zeros(0, dtype=np.int16)
-            acc = mod(field, r, f)
-            for _ in range(field.e * d):
-                t = add(field, t, acc)
-                acc = mod(field, mul(field, acc, acc), f)
-            g = gcd(field, f, t)
-        else:
-            rp = pow_mod(field, r, (q ** d - 1) // 2, f)
-            g = gcd(field, f, sub(field, rp, np.array([1], dtype=np.int16)))
-        if 0 < degree(g) < n:
-            left = divmod_poly(field, f, g)[0]
-            return equal_degree_split(field, g, d, rng) + \
-                equal_degree_split(field, left, d, rng)
+        g = _gcd(T, f, r)
+        if not 0 < len(g) - 1 < n:
+            if field.p == 2:
+                # trace map over GF(2^(e*d))
+                t, acc = [], _divmod(T, r, f)[1]
+                for _ in range(field.e * d):
+                    t = _add(T, t, acc)
+                    acc = _divmod(T, _mul(T, acc, acc), f)[1]
+            else:
+                rp = _pow_mod(T, r, (field.q ** d - 1) // 2, f)
+                t = _add(T, rp, [T[2][1]])
+            g = _gcd(T, f, t)
+        if 0 < len(g) - 1 < n:
+            return _equal_degree(field, g, d, rng) + \
+                _equal_degree(field, _divmod(T, f, g)[0], d, rng)
 
 
 def factor(field, f, seed=0):
     """Full factorization: list of (monic irreducible, multiplicity),
     sorted by (degree, coefficients)."""
+    f = _lst(f)
+    if not f:
+        raise ValueError("factoring the zero polynomial")
     rng = np.random.default_rng(seed)
     out = []
-    for g, m in squarefree_decomposition(field, f):
-        for h, d in distinct_degree_factorization(field, g):
-            for irr in equal_degree_split(field, h, d, rng):
-                out.append((irr, m))
-    out.sort(key=lambda t: (degree(t[0]), t[0].tolist()))
-    # consistency: degrees must add up
-    assert sum(degree(g) * m for g, m in out) == degree(normalize(f))
-    return out
-
-
-def smallest_irreducible_factor(field, f, seed=0):
-    """One monic irreducible factor of smallest degree, without full EDF of
-    larger-degree parts."""
-    rng = np.random.default_rng(seed)
-    best = None
-    for g, _m in squarefree_decomposition(field, f):
-        for h, d in distinct_degree_factorization(field, g):
-            if best is not None and d >= degree(best):
-                continue
-            irr = equal_degree_split(field, h, d, rng)[0] if degree(h) > d \
-                else h
-            if best is None or degree(irr) < degree(best):
-                best = irr
-            break  # ddf yields ascending d
-    return best
+    for g, m in _squarefree(field, f):
+        for h, d in _distinct_degree(field, g):
+            out.extend((irr, m) for irr in _equal_degree(field, h, d, rng))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
+    if sum((len(g) - 1) * m for g, m in out) != len(f) - 1:
+        raise CertificateError("factor degrees do not add up to deg f")
+    return [(_arr(g), m) for g, m in out]
 
 
 def is_irreducible(field, f):
-    f = monic(field, f)
-    if degree(f) < 1:
+    T = field.tables()
+    f = _monic(T, _lst(f))
+    if len(f) < 3:
+        return len(f) == 2
+    d = _derivative(field, f)
+    if not d or len(_gcd(T, f, d)) > 1:
         return False
-    if degree(f) == 1:
-        return True
-    d = derivative(field, f)
-    if is_zero(d) or degree(gcd(field, f, d)) > 0:
-        return False
-    ddf = distinct_degree_factorization(field, f)
-    return len(ddf) == 1 and ddf[0][1] == degree(f)
+    ddf = _distinct_degree(field, f)
+    return len(ddf) == 1 and ddf[0][1] == len(f) - 1

@@ -36,21 +36,24 @@ def relative_trace_span(m, q):
     if n.order() > q.order() and n.order() < g.order():
         chain.append(n)
     chain.append(g)
+    d = m.dim
     span = endo
     for lower, upper in zip(chain, chain[1:]):
         reps = _coset_transversal(upper, lower)
-        traced = []
-        for X in span:
-            acc = np.zeros_like(X)
-            for t in reps:
-                R = m.rep_of(t)
-                Rin = m.rep_of(t.inv())
-                acc = F.add(acc, F.matmul(R, F.matmul(X, Rin)))
-            traced.append(acc)
-        flat = np.vstack([X.reshape(1, -1) for X in traced]) if traced else \
-            np.zeros((0, m.dim * m.dim), dtype=np.int16)
-        R, piv = gfq.echelon(F, flat)
-        span = [R[i].reshape(m.dim, m.dim) for i in range(R.shape[0])]
+        T = len(reps)
+        # sum_t R_t X R_t^-1 = [R_1 ... R_T] @ vstack_t(X R_t^-1), for a
+        # chunk of span elements X at a time
+        Rcat = np.hstack([m.rep_of(t) for t in reps])
+        Rincat = np.hstack([m.rep_of(t.inv()) for t in reps])
+        step = max(1, meataxe.CHUNK_ENTRIES // (T * d * d))
+        traced = [np.zeros((0, d * d), dtype=np.int16)]
+        for i in range(0, len(span), step):
+            X = np.array(span[i:i + step], dtype=np.int16)
+            Y = F.matmul(X.reshape(-1, d), Rincat).reshape(-1, d, T, d)
+            Y = Y.transpose(0, 2, 1, 3).reshape(-1, T * d, d)
+            traced.append(F.matmul(Rcat, Y).reshape(-1, d * d))
+        R, piv = gfq.echelon(F, np.vstack(traced))
+        span = [R[i].reshape(d, d) for i in range(R.shape[0])]
     return span
 
 

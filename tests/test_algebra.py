@@ -168,3 +168,38 @@ def test_split_local_detection():
     a = algebra.group_algebra(F, PermGroup.cyclic(9))
     assert a.is_local()
     assert a.is_split_local()
+
+
+def _loop_products(F, a, x, lam, combo, rows):
+    """lmul_of, rmul_of, gram_of_form and _combine_rows as sums of scaled
+    basis matrices, one F.add and F.mul per coordinate."""
+    d = a.dim
+    lm = np.zeros((d, d), dtype=np.int16)
+    rm = np.zeros((d, d), dtype=np.int16)
+    for i in range(d):
+        lm = F.add(lm, F.mul(np.int16(x[i]), a.mult[i].T))
+        rm = F.add(rm, F.mul(np.int16(x[i]), a.mult[:, i, :].T))
+    gram = np.zeros((d, d), dtype=np.int16)
+    for k in range(d):
+        gram = F.add(gram, F.mul(np.int16(lam[k]), a.mult[:, :, k]))
+    comb = np.zeros(rows.shape[1], dtype=np.int16)
+    for i in range(rows.shape[0]):
+        comb = F.add(comb, F.mul(np.int16(combo[i]), rows[i]))
+    return lm, rm, gram, comb
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (2, 2), (3, 2), (2, 8)])
+def test_element_products_match_coordinate_loops(p, e):
+    F = gfq.GF.get(p, e)
+    rng = np.random.default_rng(7 * p + e)
+    for d in (1, 6, 13):
+        mult = rng.integers(0, F.q, (d, d, d))
+        a = algebra.FinDimAlgebra(F, mult, rng.integers(0, F.q, d))
+        x, lam = rng.integers(0, F.q, (2, d)).astype(np.int16)
+        combo = rng.integers(0, F.q, 4).astype(np.int16)
+        rows = rng.integers(0, F.q, (4, d)).astype(np.int16)
+        lm, rm, gram, comb = _loop_products(F, a, x, lam, combo, rows)
+        assert np.array_equal(a.lmul_of(x), lm)
+        assert np.array_equal(a.rmul_of(x), rm)
+        assert np.array_equal(a.gram_of_form(lam), gram)
+        assert np.array_equal(algebra._combine_rows(F, combo, rows), comb)

@@ -166,6 +166,17 @@ def test_certificates_run_under_python_O():
     assert proc.returncode == 1 and "CertificateError" in proc.stderr
 
 
+def test_algebra_certificates_run_under_python_O():
+    """The span of the arrow x of k[x]/(x^3) is not closed under products
+    (x * x = x^2), and subalgebra_on_rows says so with asserts stripped."""
+    proc = _python_O("-c", "import numpy as np; from blockperm import "
+                     "algebra, gfq; a = algebra.nakayama_algebra("
+                     "gfq.GF.get(3), 1, 3); "
+                     "a.subalgebra_on_rows(np.array([[0, 1, 0]]))")
+    assert proc.returncode == 1 and "CertificateError" in proc.stderr
+    assert "subspace not closed" in proc.stderr
+
+
 def test_permgrp_certificates_run_under_python_O():
     """Enumerating S_4 against a wrong chain order fails its element-count
     check with asserts stripped."""

@@ -256,7 +256,7 @@ def test_matmul_extension_matches_tables(p, e):
     F = gfq.GF.get(p, e)
     rng = np.random.default_rng(p * 100 + e)
     for m, k, n in [(1, 1, 1), (3, 5, 2), (7, 30, 4), (2, 300, 3),
-                    (0, 4, 2), (3, 4, 0), (2, 0, 3)]:
+                    (70, 40, 30), (0, 4, 2), (3, 4, 0), (2, 0, 3)]:
         A = rng.integers(0, F.q, (m, k)).astype(np.int16)
         B = rng.integers(0, F.q, (k, n)).astype(np.int16)
         ref = np.zeros((m, n), dtype=np.int16)
@@ -273,15 +273,17 @@ def test_matmul_extension_matches_tables(p, e):
 def test_matmul_enforces_the_exactness_bound(monkeypatch, p, e, k_ok):
     """A prime-field product sums up to k (p-1)^2.  Over GF(p^e) an output
     plane sums e^2 plane products of that size, each scaled by <= p-1:
-    e^2 k (p-1)^3.  Past the bound the kernel refuses."""
+    e^2 k (p-1)^3.  Past the bound the kernel refuses.  80 rows put the
+    GF(2^8) product above the table-gather size rule, on the plane kernel."""
     monkeypatch.setattr(gfq, "EXACT_BOUND", 1000)
     F = gfq.GF.get(p, e)
     bound = (k_ok * (p - 1) ** 2 if e == 1
              else e * e * k_ok * (p - 1) ** 3)
     assert bound < 1000
-    A = np.ones((2, k_ok), dtype=np.int16)
+    assert 80 * 80 * k_ok > 1024 * e * e
+    A = np.ones((80, k_ok), dtype=np.int16)
     F.matmul(A, A.T)
-    A = np.ones((2, k_ok + 1), dtype=np.int16)
+    A = np.ones((80, k_ok + 1), dtype=np.int16)
     with pytest.raises(gfq.CertificateError):
         F.matmul(A, A.T)
 

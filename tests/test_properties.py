@@ -1,0 +1,140 @@
+"""Property tests of the gfq kernels and of polys over every field shape.
+
+The fields cover prime fields (2, 7, 251), characteristic 2 extension
+fields, whose small products are a table gather with an XOR reduce (4,
+256), and odd characteristic extension fields (3^5, 5^3, 13^2).  Matrix
+entries come from a numpy generator seeded by hypothesis, with a drawn rank
+so that rank-deficient matrices are common.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from blockperm import gfq, polys
+
+FIELDS = [(2, 1), (7, 1), (251, 1), (2, 2), (2, 8), (3, 5), (5, 3), (13, 2)]
+fields = st.sampled_from(FIELDS).map(lambda pe: gfq.GF.get(*pe))
+seeds = st.integers(0, 2 ** 32 - 1)
+dims = st.integers(0, 10)
+# products at and just past the gather size rule m*k*n <= 1024 e^2 for
+# e = 2 and e = 8, and one past it for every e <= 8
+LARGE = [(16, 16, 16), (17, 16, 16), (64, 32, 32), (65, 32, 32),
+         (48, 32, 48)]
+
+
+def _matrix(F, rng, m, n, rank):
+    """A random m x n matrix of rank at most rank."""
+    X = rng.integers(0, F.q, (m, rank)).astype(np.int16)
+    Y = rng.integers(0, F.q, (rank, n)).astype(np.int16)
+    return F.matmul(X, Y)
+
+
+def _ref_matmul(F, A, B):
+    """A @ B by a pure-Python loop over the field's add and mul tables."""
+    add, mul = F.tables()[:2]
+    C = [[0] * B.shape[1] for _ in range(A.shape[0])]
+    for acc, row in zip(C, A.tolist()):
+        for a, brow in zip(row, B.tolist()):
+            acc[:] = [add[c][mul[a][b]] for c, b in zip(acc, brow)]
+    return np.array(C, dtype=np.int16).reshape(A.shape[0], B.shape[1])
+
+
+def _is_rref(R, piv):
+    if R.shape[0] != len(piv) or list(piv) != sorted(set(piv)):
+        return False
+    for i, c in enumerate(piv):
+        if R[i, :c].any() or R[i, c] != 1:
+            return False
+    return np.array_equal(R[:, piv], np.eye(len(piv), dtype=np.int16))
+
+
+@settings(deadline=None, max_examples=150)
+@given(fields, seeds, dims, dims, dims, st.booleans(), st.booleans(),
+       st.sampled_from(LARGE))
+def test_matmul_matches_table_reference(F, seed, m, k, n, large, stacked,
+                                        shape):
+    rng = np.random.default_rng(seed)
+    if large:
+        m, k, n = shape
+    A = rng.integers(0, F.q, (m, k)).astype(np.int16)
+    if stacked:
+        # a stack of right operands, as hom_space passes them
+        B = rng.integers(0, F.q, (2, k, n)).astype(np.int16)
+        got = F.matmul(A, B)
+        assert got.shape == (2, m, n)
+        for g, b in zip(got, B):
+            assert np.array_equal(g, _ref_matmul(F, A, b))
+    else:
+        B = rng.integers(0, F.q, (k, n)).astype(np.int16)
+        assert np.array_equal(F.matmul(A, B), _ref_matmul(F, A, B))
+
+
+@settings(deadline=None, max_examples=200)
+@given(fields, seeds, dims, dims, st.integers(0, 10))
+def test_echelon_is_rref_with_transform(F, seed, nr, nc, rank):
+    A = _matrix(F, np.random.default_rng(seed), nr, nc, rank)
+    R, piv, T = gfq.echelon(F, A, transform=True)
+    assert _is_rref(R, piv) and len(piv) <= min(nr, nc, rank)
+    assert np.array_equal(F.matmul(T, A), R)
+    R2, piv2 = gfq.echelon(F, A)
+    assert np.array_equal(R2, R) and piv2 == piv
+    if F.e == 1:
+        Rb, pivb = gfq._echelon_prime_blocked(F.p, A, nc)
+        assert np.array_equal(Rb, R) and pivb == piv
+
+
+@settings(deadline=None, max_examples=200)
+@given(fields, seeds, dims, dims, st.integers(0, 10))
+def test_nullspace_solve_inverse(F, seed, nr, nc, rank):
+    rng = np.random.default_rng(seed)
+    A = _matrix(F, rng, nr, nc, rank)
+    r = gfq.rank(F, A)
+    N = gfq.nullspace(F, A)
+    assert N.shape == (nc - r, nc) and gfq.rank(F, N) == nc - r
+    assert not F.matmul(A, N.T).any()
+    X0 = rng.integers(0, F.q, (nc, 3)).astype(np.int16)
+    B = F.matmul(A, X0)
+    X = gfq.solve(F, A, B)
+    assert X is not None and np.array_equal(F.matmul(A, X), B)
+    S = _matrix(F, rng, nc, nc, nc)
+    if gfq.rank(F, S) == nc:
+        Sinv = gfq.inverse(F, S)
+        assert np.array_equal(F.matmul(S, Sinv), np.eye(nc, dtype=np.int16))
+    else:
+        with pytest.raises(ValueError):
+            gfq.inverse(F, S)
+
+
+def _poly(F, rng, deg):
+    f = rng.integers(0, F.q, deg + 1).astype(np.int16)
+    f[-1] = rng.integers(1, F.q)
+    return f
+
+
+@settings(deadline=None, max_examples=200)
+@given(fields, seeds, st.integers(0, 14), st.integers(0, 8))
+def test_divmod_poly(F, seed, df, dg):
+    rng = np.random.default_rng(seed)
+    f, g = _poly(F, rng, df), _poly(F, rng, dg)
+    q, r = polys.divmod_poly(F, f, g)
+    assert polys.degree(r) < polys.degree(g)
+    assert np.array_equal(polys.add(F, polys.mul(F, q, g), r), f)
+
+
+@settings(deadline=None, max_examples=200)
+@given(fields, seeds, st.integers(1, 4), st.integers(0, 3))
+def test_factor_round_trip(F, seed, da, db):
+    """f = a^2 b has a repeated factor, so the squarefree step is used."""
+    rng = np.random.default_rng(seed)
+    a, b = _poly(F, rng, da), _poly(F, rng, db)
+    f = polys.mul(F, polys.mul(F, a, a), b)
+    facs = polys.factor(F, f, seed=seed % 7)
+    prod = polys.constant(F, 1)
+    for g, mult in facs:
+        assert polys.is_irreducible(F, g) and g[-1] == 1
+        for _ in range(mult):
+            prod = polys.mul(F, prod, g)
+    assert np.array_equal(prod, polys.monic(F, f))
+    keys = [(polys.degree(g), g.tolist()) for g, _m in facs]
+    assert keys == sorted(keys)

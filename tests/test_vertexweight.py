@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
-from blockperm import blocks, gfq, modules, vertexweight
+from blockperm import blocks, gfq, meataxe, modules, vertexweight
 from blockperm.modules import GModule
-from blockperm.permgrp import PermGroup
+from blockperm.permgrp import PermGroup, parse_group
 
 
 def test_relative_trace_span_trivial_subgroup_rejected():
@@ -102,3 +103,45 @@ def test_defect_zero_weight_count():
     ga = blocks.GroupAlgebra(PermGroup.symmetric(4), F)
     # S4 at p=3: one block of defect zero (the 3-dim pair contributes two)
     assert vertexweight.defect_zero_weight_count(ga, seed=0) == 2
+
+
+def _trace_span_by_pairs(m, q):
+    """relative_trace_span as two products per (coset representative,
+    span element), the form the stacked products replaced."""
+    F = m.field
+    qmats = [m.rep_of(x) for x in q.generators]
+    span = meataxe.hom_space(F, qmats, qmats)
+    chain = [q]
+    n = m.group.normalizer(q).with_small_generators()
+    if q.order() < n.order() < m.group.order():
+        chain.append(n)
+    chain.append(m.group)
+    for lower, upper in zip(chain, chain[1:]):
+        reps, _images = upper.coset_action(lower)
+        traced = [np.zeros((0, m.dim * m.dim), dtype=np.int16)]
+        for X in span:
+            acc = np.zeros_like(X)
+            for t in reps:
+                acc = F.add(acc, F.matmul(m.rep_of(t),
+                                          F.matmul(X, m.rep_of(t.inv()))))
+            traced.append(acc.reshape(1, -1))
+        R, _piv = gfq.echelon(F, np.vstack(traced))
+        span = [R[i].reshape(m.dim, m.dim) for i in range(R.shape[0])]
+    return span
+
+
+@pytest.mark.parametrize("spec,sub,field,qp", [
+    ("sym:5", 5, (5, 1), 5), ("alt:5", 2, (2, 1), 2),
+    ("alt:4", 3, (2, 2), 2)])
+def test_relative_trace_span_matches_pairwise_products(spec, sub, field, qp):
+    """On k[G/H] for a Sylow subgroup H of G, relative to the smallest
+    nontrivial p-subgroup class and to the largest."""
+    g = parse_group(spec)
+    F = gfq.GF.get(*field)
+    m = GModule.permutation(g, g.sylow_subgroup(sub), F)
+    classes = g.p_subgroups_up_to_conjugacy(qp)
+    for q in (classes[1], classes[-1]):
+        got = vertexweight.relative_trace_span(m, q)
+        want = _trace_span_by_pairs(m, q)
+        assert len(got) == len(want) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
