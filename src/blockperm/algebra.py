@@ -5,6 +5,13 @@ over GF(p^e), plus the coordinates of the identity.  Everything downstream
 (radical, primitive and central idempotents, Cartan data, self-injectivity,
 symmetry) is exact linear algebra.
 
+The radical J comes from the structure constants alone, with no random
+choices: over GF(p) it is the last of the iterated kernels of the trace
+functionals g_i(a) = (Tr(L^(p^i)) mod p^(i+1)) / p^i, p^i <= dim A, with L
+the integer lift of a's left multiplication (Ronyai 1990; Cohen, Ivanyos,
+Wales 1997).  Over GF(p^e) it is the radical of A over GF(p), the same
+subspace.  Certificates check that J is a nilpotent two-sided ideal.
+
 Idempotents are found semisimply first and then lifted: in a semisimple
 corner a nonzero singular element z spans a proper left ideal Cz, which
 contains a right identity g solving a linear system; g is a nontrivial
@@ -42,8 +49,8 @@ class FinDimAlgebra:
         self.labels = labels
         self._lmats = None
         self._rmats = None
-        self._reggens = None
         self._radical = None
+        self._radical_chain = None
 
     # -- element arithmetic --
 
@@ -83,45 +90,28 @@ class FinDimAlgebra:
         return meataxe.vector_annihilator(self.field, self.lmul_of(x),
                                           self.one)
 
-    # -- regular module --
+    # -- radical --
 
-    def regular_generators(self, seed=0):
-        """A short list of left-multiplication matrices generating the image
-        of the regular representation, verified by subalgebra dimension."""
-        if self._reggens is not None:
-            return self._reggens
-        d = self.dim
-        if d <= 8:
-            self._reggens = self.left_mats()
-            return self._reggens
-        rng = np.random.default_rng(seed)
-        F = self.field
-        for ngens in (2, 3, 4, 6):
-            gens = []
-            for _ in range(ngens):
-                x = rng.integers(0, F.q, d).astype(np.int16)
-                gens.append(self.lmul_of(x))
-            if _closure_dim(F, gens + [np.eye(d, dtype=np.int16)], cap=d) == d:
-                self._reggens = gens
-                return gens
-        self._reggens = self.left_mats()
-        return self._reggens
-
-    def radical_basis(self, seed=0):
-        """RREF row basis of the Jacobson radical."""
+    def radical_basis(self):
+        """RREF row basis of the Jacobson radical, from the trace
+        functionals of the structure constants (module docstring)."""
         if self._radical is None:
-            gens = self.regular_generators(seed)
-            R, piv = meataxe.module_radical(self.field, gens, seed=seed)
+            F, d = self.field, self.dim
+            # the GF(p)-coordinates of a code are its coefficient planes
+            rows = _trace_radical(F.p, _restrict_scalars(F, self.mult))
+            rows = rows.reshape(len(rows), d, F.e) @ F.p ** np.arange(F.e)
+            R, piv = gfq.echelon(F, rows.astype(np.int16))
+            self._radical_chain = _certify_radical(F, self.mult, R, piv)
             self._radical = (R, piv)
         return self._radical
 
     def is_semisimple(self):
         return self.radical_basis()[0].shape[0] == 0
 
-    def semisimple_quotient(self, seed=0):
+    def semisimple_quotient(self):
         """(Abar, proj, lift): proj maps coordinates onto A/J, lift embeds
         the complement back (proj @ lift.T-style section)."""
-        J, piv = self.radical_basis(seed)
+        J, piv = self.radical_basis()
         return self.quotient_by_ideal(J, piv)
 
     def quotient_by_ideal(self, rows, piv=None):
@@ -131,24 +121,16 @@ class FinDimAlgebra:
         d = self.dim
         pivset = set(piv)
         free = [c for c in range(d) if c not in pivset]
-        P = np.zeros((len(free), d), dtype=np.int16)
-        for i, c in enumerate(free):
-            P[i, c] = 1
+        lift = np.eye(d, dtype=np.int16)[free]
+        P = lift.copy()
         if piv:
             P[:, piv] = F.neg(rows[:, free].T)
-        lift = np.zeros((len(free), d), dtype=np.int16)
-        for i, c in enumerate(free):
-            lift[i, c] = 1
         db = len(free)
-        mult = np.zeros((db, db, db), dtype=np.int16)
-        for i in range(db):
-            for j in range(db):
-                prod = self.multiply(lift[i], lift[j])
-                mult[i, j] = F.matmul(P, prod[:, None])[:, 0]
+        # the product of lifted basis elements b_f b_g is mult[f, g]
+        mult = F.matmul(self.mult[np.ix_(free, free)].reshape(db * db, d),
+                        P.T).reshape(db, db, db)
         one = F.matmul(P, self.one[:, None])[:, 0]
-        labels = None
-        quo = FinDimAlgebra(F, mult, one, labels)
-        return quo, P, lift
+        return FinDimAlgebra(F, mult, one), P, lift
 
     # -- subalgebras spanned by closed row bases --
 
@@ -163,16 +145,11 @@ class FinDimAlgebra:
         F = self.field
         R, piv = gfq.echelon(F, rows)
         db = R.shape[0]
-        mult = np.zeros((db, db, db), dtype=np.int16)
-        for i in range(db):
-            li = self.lmul_of(R[i])
-            prods = F.matmul(li, R.T)  # columns: R[i] * R[j]
-            # verify closure and extract coordinates
-            coords = prods[piv, :]
-            back = F.matmul(R.T, coords)
-            if not np.array_equal(back, prods):
-                raise gfq.CertificateError("subspace not closed")
-            mult[i] = coords.T
+        prods = _products(F, self.mult, R, R).reshape(db * db, self.dim)
+        coords = prods[:, piv]
+        if not np.array_equal(F.matmul(coords, R), prods):
+            raise gfq.CertificateError("subspace not closed")
+        mult = coords.reshape(db, db, db)
         one = self.one if one_coords is None else np.asarray(one_coords,
                                                              dtype=np.int16)
         oc = one[piv]
@@ -210,7 +187,7 @@ class FinDimAlgebra:
         if not e.any():
             return []
         C, rows, piv = self.corner(e)
-        Jrows, Jpiv = C.radical_basis(seed)
+        Jrows, Jpiv = C.radical_basis()
         Cbar, proj, lift = C.quotient_by_ideal(Jrows, Jpiv)
         bar_prims = _semisimple_primitives(Cbar, seed)
         # lift sequentially through the radical, each inside the corner
@@ -267,30 +244,12 @@ class FinDimAlgebra:
 
     # -- structural predicates --
 
-    def projective_modules(self, seed=0):
-        """(prims, modules): for each primitive idempotent e_t the left
-        module A e_t as (mats, basis_rows)."""
-        F = self.field
-        prims = self.primitive_idempotents(seed=seed)
-        gens = self.regular_generators(seed)
-        out = []
-        for e in prims:
-            re = self.rmul_of(e)
-            basis, piv = gfq.echelon(F, re.T)
-            mats = meataxe.restrict_to_submodule(F, gens, basis, piv)
-            out.append((mats, basis))
-        return prims, out
-
     def injective_modules(self, prims, seed=0):
         """For each primitive e_t the dual of e_t A, as left-module action
-        matrices over the same generating set as projective_modules."""
+        matrices of the basis elements: the transposed right action of
+        each b_i on e_t A."""
         F = self.field
         out = []
-        # right action of the chosen regular generators: x -> x * g needs g
-        # as an element; regenerate matching elements by using all basis
-        # right-multiplications restricted, transposed.  To stay consistent
-        # with projective_modules we use the reduced generator combos' right
-        # versions: simplest correct choice is the full basis action.
         for e in prims:
             le = self.lmul_of(e)
             basis, piv = gfq.echelon(F, le.T)  # rows span e A
@@ -340,22 +299,11 @@ class FinDimAlgebra:
         indecomposable injectives matches the projectives."""
         return self.self_injective_witness(seed)[0]
 
-    def radical_powers(self, seed=0):
-        """Row bases of A > J > J^2 > ... > 0 (last entry has zero rows)."""
-        F = self.field
-        rows, _piv = self.radical_basis(seed)
-        powers = [np.eye(self.dim, dtype=np.int16), rows]
-        while powers[-1].shape[0]:
-            prev = powers[-1]
-            prods = [self.multiply(prev[i], rows[j])
-                     for i in range(prev.shape[0])
-                     for j in range(rows.shape[0])]
-            if prods:
-                R, _ = gfq.echelon(F, np.array(prods, dtype=np.int16))
-            else:
-                R = np.zeros((0, self.dim), dtype=np.int16)
-            powers.append(R)
-        return powers
+    def radical_powers(self):
+        """Row bases of A > J > J^2 > ... > 0 (last entry has zero rows),
+        the chain that certified J nilpotent."""
+        self.radical_basis()
+        return [np.eye(self.dim, dtype=np.int16)] + self._radical_chain
 
     def central_forms(self):
         """Row basis of linear forms vanishing on all commutators."""
@@ -390,7 +338,6 @@ class FinDimAlgebra:
         if t == 0:
             return False, []
         witnesses = []
-        lamspan = set()
         Rl, pivl = gfq.echelon(F, lams)
 
         def central(v):
@@ -406,7 +353,6 @@ class FinDimAlgebra:
             v[k] = 1
             if central(v) and nondeg(v):
                 witnesses.append(v)
-        del lamspan
         for row in lams:
             if nondeg(row):
                 witnesses.append(row.copy())
@@ -460,7 +406,7 @@ class FinDimAlgebra:
         """Local with one-dimensional semisimple quotient."""
         if not self.is_local(seed):
             return False
-        Abar, _, _ = self.semisimple_quotient(seed)
+        Abar, _, _ = self.semisimple_quotient()
         return Abar.dim == 1
 
     # -- serialization --
@@ -499,23 +445,100 @@ def _combine_rows(F, combo, rows):
     return F.matmul(combo[None, :], rows)[0]
 
 
-def _closure_dim(field, mats, cap):
-    """Dimension of the algebra spanned by products of the given matrices."""
-    d = mats[0].shape[0]
-    basis = np.vstack([M.reshape(1, -1) for M in mats])
-    R, piv = gfq.echelon(field, basis)
-    while True:
-        prods = []
-        for row in R:
-            M = row.reshape(d, d)
-            for g in mats:
-                prods.append(field.matmul(M, g).reshape(1, -1))
-        R2, piv2 = gfq.echelon(field, np.vstack([R] + prods))
-        if R2.shape[0] == R.shape[0]:
-            return R.shape[0]
-        R, piv = R2, piv2
-        if R.shape[0] > cap:
-            return R.shape[0]
+def _trace_radical(p, mult):
+    """RREF row basis of the radical of the GF(p)-algebra with structure
+    constants mult (codes 0..p-1 of any integer dtype): the last ideal
+    I_i = {a in I_(i-1) : g_i(ab) = 0 for all b}, I_-1 = A.  g_i is linear
+    on I_(i-1): with g_k = g_i(y_k) on its RREF rows y_k, g_i(y_m b) =
+    sum_k (y_m b)[piv_k] g_k, so I_i is the left kernel of Y W, W[j, b] =
+    sum_k c[j, b, piv_k] g_k.  Level 0: Y = 1, g_k = sum_j c[k, j, j]."""
+    F = gfq.GF.get(p)
+    d = mult.shape[0]
+    Y, piv = np.eye(d, dtype=np.int16), list(range(d))
+    g = np.einsum("kjj->k", mult, dtype=np.int64)
+    pi = 1
+    while piv and pi <= d:
+        if pi > 1:
+            g = _trace_power_functional(p, pi, mult, Y)
+        h = np.zeros(d, dtype=np.int64)
+        h[piv] = g
+        W = np.einsum("jbn,n->jb", mult, h) % p
+        G = F.matmul(Y, W)
+        Y, piv = gfq.echelon(F, F.matmul(gfq.nullspace(F, G.T), Y))
+        pi *= p
+    return Y
+
+
+def _trace_power_functional(p, pi, mult, Y):
+    """(Tr(L^pi) mod p pi) / pi for the integer lift L of the left
+    multiplication of each row of Y, pi = p^i <= d, by float64 products
+    reduced mod p pi (gfq._reduce holds for any modulus): entries stay below
+    d (p pi)^2 <= p^2 d^3.  pi must divide every trace on I_(i-1)."""
+    d = mult.shape[0]
+    mod = p * pi
+    bound = d * (mod - 1) ** 2
+    # stacks of about 2^14 float64 entries; mult is cast in <= 8 pieces
+    step = max(1, (1 << 14) // (d * d))
+    piece = max(step, -(-d // 8))
+    flat = mult.reshape(d, d * d)
+    traces = []
+    for r0 in range(0, len(Y), step):
+        # the transposed left multiplications: [r, j, k] = sum_i y_i c[i, j, k]
+        Yc = Y[r0:r0 + step].astype(np.float64)
+        M = sum(Yc[:, i:i + piece] @ flat[i:i + piece].astype(np.float64)
+                for i in range(0, d, piece))
+        M = gfq._reduce(M, p, d * (p - 1) ** 2).reshape(-1, d, d)
+        P = M
+        for bit in bin(pi)[3:]:  # M^pi by left-to-right binary powering
+            P = gfq._reduce(P @ P, mod, bound)
+            if bit == "1":
+                P = gfq._reduce(P @ M, mod, bound)
+        traces.append(np.trace(P, axis1=1, axis2=2).astype(np.int64))
+    tr = np.concatenate(traces)
+    if (tr % pi).any():
+        raise gfq.CertificateError("Tr(L^%d) of an element of the ideal is "
+                                   "not divisible by %d" % (pi, pi))
+    return tr // pi % p
+
+
+def _restrict_scalars(F, mult):
+    """Structure constants over GF(p) of an algebra over GF(p^e), on the
+    basis x^s b_j (index j e + s), as uint8: (x^s b_i)(x^t b_j) =
+    sum_k x^(s+t) c[i, j, k] b_k, and the coefficient of x^u b_k is plane
+    u of the code of x^(s+t) c[i, j, k].  Over GF(p), mult itself."""
+    e, d = F.e, mult.shape[0]
+    if e == 1:
+        return mult
+    x = (F.p ** np.arange(e))[:, None, None, None]  # x^s has code p^s
+    prods = F.mul(x[:, None], F.mul(x, mult)[None])  # [s, t, i, j, k]
+    planes = F._planes.astype(np.uint8)[prods]  # [s, t, i, j, k, u]
+    return planes.transpose(2, 0, 3, 1, 4, 5).reshape(d * e, d * e, d * e)
+
+
+def _certify_radical(F, mult, R, piv):
+    """Check that the rows of R (RREF, pivots piv) span a nilpotent
+    two-sided ideal; returns the RREF bases [J, J^2, ..., 0] of its
+    powers."""
+    d = mult.shape[0]
+    # the products y_a b_j and b_j y_a
+    V = np.vstack([F.matmul(R, m.reshape(d, d * d)).reshape(len(R) * d, d)
+                   for m in (mult, mult.swapaxes(0, 1))])
+    if F.sub(V, F.matmul(V[:, piv], R)).any():
+        raise gfq.CertificateError("the radical is not a two-sided ideal")
+    chain = [R]
+    while chain[-1].shape[0]:
+        nxt, _ = gfq.echelon(F, _products(F, mult, chain[-1], R)
+                             .reshape(-1, d))
+        if nxt.shape[0] == chain[-1].shape[0]:
+            raise gfq.CertificateError("the radical is not nilpotent")
+        chain.append(nxt)
+    return chain
+
+
+def _products(F, mult, X, Y):
+    """[a, b]: the product x_a y_b of row a of X and row b of Y."""
+    d = mult.shape[0]
+    return F.matmul(Y, F.matmul(X, mult.reshape(d, d * d)).reshape(-1, d, d))
 
 
 def _semisimple_primitives(S, seed):
@@ -559,14 +582,9 @@ def _semisimple_primitives(S, seed):
             rz = alg.rmul_of(z)
             V, vpiv = gfq.echelon(F, rz.T)
             nv = V.shape[0]
-            M = np.zeros((nv * d, nv), dtype=np.int16)
-            b = np.zeros(nv * d, dtype=np.int16)
-            for j in range(nv):
-                lv = alg.lmul_of(V[j])
-                prods = F.matmul(lv, V.T)  # columns: v_j * w_a
-                M[j * d:(j + 1) * d, :] = prods
-                b[j * d:(j + 1) * d] = V[j]
-            c = gfq.solve(F, M, b)
+            # row (j, m), column a: coordinate m of v_j w_a
+            M = _products(F, alg.mult, V, V).transpose(0, 2, 1)
+            c = gfq.solve(F, M.reshape(nv * d, nv), V.reshape(-1))
             if c is None:
                 raise gfq.CertificateError("no right identity in left ideal")
             g = F.matmul(V.T, c[:, None])[:, 0]
@@ -613,7 +631,7 @@ def algebra_shape(a, seed=0, _check_op=True):
     """
     F = a.field
     prims = a.primitive_idempotents(seed=seed)
-    abar, proj, _lift = a.semisimple_quotient(seed=seed)
+    abar, proj, _lift = a.semisimple_quotient()
     zbars = abar.central_primitive_idempotents(seed=seed)
 
     def class_of(e):
@@ -664,7 +682,7 @@ def algebra_shape(a, seed=0, _check_op=True):
                                            "%d-dim division algebra"
                                            % (d, ddims[j]))
             cartan[i][j] = d // ddims[j]
-    powers = a.radical_powers(seed)
+    powers = a.radical_powers()
     loewy = []
     for i in range(s):
         layers = []

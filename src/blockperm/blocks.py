@@ -100,7 +100,8 @@ class GroupAlgebra:
                         done[g2] = True
                         nxt.append(g2)
             frontier = nxt
-        assert done.all()
+        if not done.all():
+            raise gfq.CertificateError("left translations miss an element")
         return M1
 
     def inv_index(self):
@@ -195,7 +196,8 @@ class GroupAlgebra:
             img = rows[:, rinv]
             coords = img[:, piv]
             back = self.field.matmul(coords, rows)
-            assert np.array_equal(back, img), "row space not right-stable"
+            if not np.array_equal(back, img):
+                raise gfq.CertificateError("row space not right-stable")
             out.append(coords.T.copy())
         return out
 
@@ -262,9 +264,11 @@ class GroupAlgebra:
             mp = meataxe.vector_annihilator(F, Z.lmul_of(y), evec_coords)
             roots = set()
             for f, _m in polys.factor(F, mp):
-                assert polys.degree(f) == 1, "central character not rational"
+                if polys.degree(f) != 1:
+                    raise gfq.CertificateError("irrational central value")
                 roots.add(int(F.neg(np.int16(f[0]))))
-            assert len(roots) == 1
+            if len(roots) != 1:
+                raise gfq.CertificateError("%d central values" % len(roots))
             out.append(roots.pop())
         return tuple(out)
 
@@ -399,7 +403,8 @@ class Block:
         while order % p == 0:
             part *= p
             order //= p
-        assert sylow.order() == part, "subgroup is not a Sylow p-subgroup"
+        if sylow.order() != part:
+            raise ValueError("subgroup is not a Sylow p-subgroup")
         m = self._on_cosets(sylow)[0]
         m.name = "block Sylow coinvariants"
         return m
@@ -477,18 +482,15 @@ class Block:
         br = np.zeros(small.n, dtype=np.int16)
         rows = cent.image_array()
         br[small.group.indices(rows)] = self.evec[ga.group.indices(rows)]
-        assert np.array_equal(small.convolve(br, br), br), \
-            "Brauer quotient of the block idempotent is not idempotent"
+        if not np.array_equal(small.convolve(br, br), br):
+            raise gfq.CertificateError("Brauer quotient of the block "
+                                       "idempotent is not idempotent")
         hits = []
         for c in small.blocks(seed=seed):
             if np.array_equal(small.convolve(c.evec, br), c.evec):
                 hits.append(c)
-        assert sum(b.dim for b in hits) > 0
-        total = np.zeros(small.n, dtype=np.int16)
-        for b in hits:
-            total = small.field.add(total, b.evec)
-        assert np.array_equal(total, br)
-        assert len(hits) == 1, "correspondent is not a single block"
+        if len(hits) != 1 or not np.array_equal(hits[0].evec, br):
+            raise gfq.CertificateError("correspondent is not a single block")
         return small, hits[0]
 
     def __repr__(self):
@@ -516,8 +518,8 @@ def brauer_hom(ga, x, p_sub):
     F = ga.field
     x = np.asarray(x, dtype=np.int16)
     for s in p_sub.generators:
-        assert np.array_equal(x[ga.conj_index(s)], x), \
-            "element is not fixed under P-conjugation"
+        if not np.array_equal(x[ga.conj_index(s)], x):
+            raise ValueError("element is not fixed under P-conjugation")
     cent = ga.group.centralizer(p_sub).with_small_generators()
     out = np.zeros(ga.n, dtype=np.int16)
     sup = ga.group.indices(cent.image_array())

@@ -267,7 +267,7 @@ def nakayama_descriptor(alg, seed=0):
         return None
     L = alg.dim // s
     # radical powers must drop by exactly s each step
-    powers = alg.radical_powers(seed)
+    powers = alg.radical_powers()
     if len(powers) - 1 != L:
         return None
     for i in range(1, L + 1):

@@ -503,7 +503,10 @@ class PermGroup:
         p-elements x of N(Q) with x^p in Q reaches every class.  Such an x
         outside Q gives <Q, x> = Q u xQ u ... u x^(p-1)Q of order p|Q|, so
         an x inside a subgroup already built from Q gives that subgroup
-        again and is skipped.  The result is cached per prime.
+        again and is skipped.  A candidate is tested for conjugacy only
+        against the reps of its level with the same histogram of element
+        cycle types, which conjugation in Sym(n) keeps.  The result is
+        cached per prime.
         """
         if not hasattr(self, "_psub_cache"):
             self._psub_cache = {}
@@ -515,12 +518,20 @@ class PermGroup:
         for _ in range(p - 1):
             power = np.take_along_axis(arr, power, axis=1)
         pth = self.indices(power)  # index of x^p for each x
+        # cycle type ids: the sorted cycle lengths of each element's points
+        length, power = np.zeros(arr.shape, dtype=np.intp), arr
+        for k in range(1, self.degree + 1):
+            length[(power == np.arange(self.degree)) & (length == 0)] = k
+            power = np.take_along_axis(arr, power, axis=1)
+        ctype = np.unique(np.sort(length, axis=1), axis=0,
+                          return_inverse=True)[1].reshape(-1)
         trivial = self.trivial_subgroup()
         trivial._adopt(self, [0])
         classes = [trivial]
         level = [trivial]
         while level:
             nxt = []
+            by_hist = {}
             seen_sets = set()
             for qrep in level:
                 qarr = qrep.image_array()
@@ -544,11 +555,14 @@ class PermGroup:
                         continue
                     seen_sets.add(key)
                     conj = qconj + [self._conjugates(elems[x])]
-                    if any(self._conjugates_in(r, conj).any() for r in nxt):
+                    same = by_hist.setdefault(np.bincount(
+                        ctype[cand], minlength=ctype.max() + 1).tobytes(), [])
+                    if any(self._conjugates_in(r, conj).any() for r in same):
                         continue
                     sub = self.subgroup(qrep.generators + [elems[x]])
                     sub._adopt(self, cand)
                     nxt.append(sub)
+                    same.append(sub)
             classes.extend(nxt)
             level = nxt
         self._psub_cache[p] = classes

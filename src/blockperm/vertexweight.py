@@ -133,7 +133,8 @@ def brauer_construction(m, q):
     M(Q) is returned as a module over the normalizer (over G itself when
     Q is trivial).
     """
-    assert m.tags is not None, "module has no declared permutation basis"
+    if m.tags is None:
+        raise ValueError("module has no declared permutation basis")
     F = m.field
     g = m.group
     if q.order() == 1:
@@ -150,8 +151,8 @@ def brauer_construction(m, q):
         out = np.zeros((len(fixed), len(fixed)), dtype=np.int16)
         for a, j in enumerate(fixed):
             col = np.nonzero(M[:, j])[0]
-            assert len(col) == 1 and M[col[0], j] == 1, \
-                "action is not by permutation matrices"
+            if len(col) != 1 or M[col[0], j] != 1:
+                raise ValueError("action is not by permutation matrices")
             out[idx[int(col[0])], a] = 1
         mats.append(out)
     return GModule(n, F, mats, name="brauer(%s)" % (m.name or "M"),
@@ -167,9 +168,8 @@ def green_correspondent(x, big, q, seed=0):
         v = vertex(s.module)
         if v.order() == q.order() and big.are_conjugate_subgroups(v, q):
             hits.append(s)
-    assert len(hits) == 1, "Green correspondent not unique (%d hits)" \
-        % len(hits)
-    assert hits[0].multiplicity == 1
+    if len(hits) != 1 or hits[0].multiplicity != 1:
+        raise gfq.CertificateError("Green correspondent not unique")
     return hits[0].module
 
 
@@ -217,7 +217,8 @@ def weights(group, field, seed=0):
             block_mod = c.block_sylow_module(wgroup.sylow_subgroup(p))
             facs = meataxe.composition_factors(field, block_mod.mats,
                                                seed=seed)
-            assert len(facs) == 1, "defect zero block is not homogeneous"
+            if len(facs) != 1:
+                raise gfq.CertificateError("inhomogeneous defect 0 block")
             simple_mats, _mult = facs[0]
             # the block module's matrices follow wgroup's (possibly
             # reduced) generator list; inflate generator by generator so
@@ -257,12 +258,14 @@ def block_of_weight(ga, weight, seed=0):
         for g in np.nonzero(c.evec)[0]:
             R = weight.module.rep_of(gan.elems[int(g)])
             act = F.add(act, F.mul(np.int16(c.evec[g]), R))
-        if np.array_equal(act, np.eye(weight.module.dim, dtype=np.int16)):
-            assert target is None
+        if target is None and np.array_equal(
+                act, np.eye(weight.module.dim, dtype=np.int16)):
             target = c
-        else:
-            assert not act.any()
-    assert target is not None
+        elif act.any():
+            raise gfq.CertificateError("a block of N acts on the weight "
+                                       "neither as 0 nor as the only 1")
+    if target is None:
+        raise gfq.CertificateError("no block of N acts as 1 on the weight")
     lam_small = gan.central_character(target.coords)
     class_of_n, _lists_n = gan.conjugacy_classes()
     cent = ga.group.centralizer(q)
@@ -278,13 +281,14 @@ def block_of_weight(ga, weight, seed=0):
                                     minlength=len(_lists_n))
         # the truncation is a 0/1 combination of N-class sums
         for nc in np.nonzero(seen_nclasses)[0]:
-            assert seen_nclasses[nc] == len(_lists_n[nc]), \
-                "truncated class sum is not N-stable"
+            if seen_nclasses[nc] != len(_lists_n[nc]):
+                raise gfq.CertificateError("class sum not N-stable")
             val = int(F.add(val, lam_small[int(nc)]))
         lam.append(val)
     lam = tuple(lam)
     hits = [b for b in ga.blocks(seed=seed) if b.central_character() == lam]
-    assert len(hits) == 1, "weight matches %d blocks" % len(hits)
+    if len(hits) != 1:
+        raise gfq.CertificateError("weight matches %d blocks" % len(hits))
     return hits[0]
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blockperm import algebra, gfq
-from blockperm.permgrp import PermGroup
+from blockperm import algebra, gfq, meataxe, modules
+from blockperm.permgrp import Perm, PermGroup, parse_group
 
 
 def test_group_algebra_multiplication():
@@ -203,3 +203,86 @@ def test_element_products_match_coordinate_loops(p, e):
         assert np.array_equal(a.rmul_of(x), rm)
         assert np.array_equal(a.gram_of_form(lam), gram)
         assert np.array_equal(algebra._combine_rows(F, combo, rows), comb)
+
+
+# -- the trace-functional radical against the MeatAxe radical --
+
+
+def _matrix_algebra(F, n):
+    """M_n(F) on the basis E_ij (index i n + j): E_ij E_jl = E_il."""
+    d = n * n
+    mult = np.zeros((d, d, d), dtype=np.int16)
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                mult[i * n + j, j * n + l, i * n + l] = 1
+    return algebra.FinDimAlgebra(F, mult, np.eye(n, dtype=np.int16).ravel())
+
+
+def _klein4():
+    return PermGroup(4, [Perm([1, 0, 3, 2]), Perm([2, 3, 0, 1])])
+
+
+def _assert_meataxe_radical(a):
+    """radical_basis equals the MeatAxe radical of the regular module,
+    RREF rows and pivots, and its powers end at zero."""
+    R, piv = a.radical_basis()
+    R0, piv0 = meataxe.module_radical(a.field, a.left_mats())
+    assert np.array_equal(R, R0) and list(piv) == list(piv0)
+    powers = a.radical_powers()
+    assert np.array_equal(powers[1], R) and powers[-1].shape[0] == 0
+
+
+GROUPS = {"C2xC2": _klein4, "S3": lambda: PermGroup.symmetric(3),
+          "D8": lambda: PermGroup.sylow_of_symmetric(4, 2),
+          "A4": lambda: PermGroup.alternating(4)}
+
+
+@pytest.mark.parametrize("q", ["2", "3", "4", "8", "9", "2^8"])
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_trace_radical_of_group_algebras(group, q):
+    _assert_meataxe_radical(
+        algebra.group_algebra(gfq.GF.parse(q), GROUPS[group]()))
+
+
+@pytest.mark.parametrize("spec,sub,q", [
+    ("sym:4", [[1, 0, 2, 3], [1, 2, 0, 3]], "3"),
+    ("alt:5", [[1, 2, 0, 3, 4], [0, 2, 3, 1, 4]], "2"),
+    ("sym:5", [[1, 2, 3, 4, 0]], "5"),
+    ("alt:4", [[1, 2, 0, 3]], "4")])
+def test_trace_radical_of_permutation_module_endomorphisms(spec, sub, q):
+    """End_kG(k[G/H]) for a point stabilizer or a cyclic H."""
+    g = parse_group(spec)
+    m = modules.GModule.permutation(g, g.subgroup([Perm(x) for x in sub]),
+                                    gfq.GF.parse(q))
+    _assert_meataxe_radical(modules.endomorphism_algebra(m)[0])
+
+
+def test_trace_radical_of_a_corner():
+    a = algebra.group_algebra(gfq.GF.get(3), PermGroup.symmetric(4))
+    prims = a.primitive_idempotents(seed=0)
+    e = a.field.add(prims[0], prims[-1])
+    C, _rows, _piv = a.corner(e)
+    assert 1 < C.dim < a.dim
+    _assert_meataxe_radical(C)
+
+
+@pytest.mark.parametrize("q,n", [("2", 4), ("2", 9), ("3", 9), ("3", 10),
+                                 ("5", 25), ("4", 5), ("9", 9)])
+def test_trace_radical_of_truncated_polynomials(q, n):
+    """GF(q)[x]/(x^n) with n >= p^2: the levels i >= 2 run."""
+    a = algebra.nakayama_algebra(gfq.GF.parse(q), 1, n)
+    _assert_meataxe_radical(a)
+    assert a.radical_basis()[0].shape[0] == n - 1
+
+
+@pytest.mark.parametrize("a", [
+    _matrix_algebra(gfq.GF.get(2), 2), _matrix_algebra(gfq.GF.get(3), 2),
+    _matrix_algebra(gfq.GF.get(2, 2), 2),
+    algebra.group_algebra(gfq.GF.get(5), PermGroup.symmetric(3))],
+    ids=["M2(GF2)", "M2(GF3)", "M2(GF4)", "GF5S3"])
+def test_trace_radical_of_semisimple_algebras(a):
+    """Semisimple with p <= dim: the trace form of M_2(GF(2)) is zero, so
+    J = 0 comes from the higher levels."""
+    _assert_meataxe_radical(a)
+    assert a.is_semisimple()

@@ -291,3 +291,18 @@ def test_blocks_keep_identity_and_cached_results():
     m = ga.blocks(seed=0)[1].block_sylow_module(sylow)
     # the second Block object is gone; a new one shares its results
     assert ga.blocks(seed=0)[1].block_sylow_module(sylow) is m
+
+
+def test_block_input_checks_raise_value_error():
+    """A subgroup that is not Sylow, and an element that P-conjugation
+    moves, are bad input, refused with ValueError (not an assert)."""
+    g = parse_group("sym:3")
+    ga = blocks.GroupAlgebra(g, gfq.GF.get(3))
+    principal = ga.blocks(seed=0)[0]
+    with pytest.raises(ValueError, match="not a Sylow"):
+        principal.block_sylow_module(g.trivial_subgroup())
+    c3 = g.sylow_subgroup(3)
+    x = np.zeros(ga.n, dtype=np.int16)
+    x[[i for i, e in enumerate(ga.elems) if e.order() == 2][0]] = 1
+    with pytest.raises(ValueError, match="not fixed under P-conjugation"):
+        blocks.brauer_hom(ga, x, c3)

@@ -177,6 +177,33 @@ def test_algebra_certificates_run_under_python_O():
     assert "subspace not closed" in proc.stderr
 
 
+def test_radical_certificates_run_under_python_O():
+    """In k x k over GF(2) (basis e_0, e_1), e_0 lies outside the level-0
+    ideal, so 2 does not divide Tr(L^2) = 1; span(e_0 + e_1) is not an
+    ideal; span(e_0) is an ideal but not nilpotent.  Each radical
+    certificate says so with asserts stripped."""
+    proc = _python_O("-c", "\n".join([
+        "import numpy as np",
+        "from blockperm import algebra, gfq",
+        "F = gfq.GF.get(2)",
+        "c = algebra.nakayama_algebra(F, 2, 1).mult",
+        "for f in (lambda: algebra._trace_power_functional(",
+        "              2, 2, c, np.array([[1, 0]], np.int16)),",
+        "          lambda: algebra._certify_radical(",
+        "              F, c, np.array([[1, 1]], np.int16), [0]),",
+        "          lambda: algebra._certify_radical(",
+        "              F, c, np.array([[1, 0]], np.int16), [0])):",
+        "    try:",
+        "        f()",
+        "    except gfq.CertificateError as exc:",
+        "        print(exc)"]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "Tr(L^2) of an element of the ideal is not divisible by 2",
+        "the radical is not a two-sided ideal",
+        "the radical is not nilpotent"]
+
+
 def test_permgrp_certificates_run_under_python_O():
     """Enumerating S_4 against a wrong chain order fails its element-count
     check with asserts stripped."""

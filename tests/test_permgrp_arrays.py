@@ -18,6 +18,7 @@ file as a script to print the digests of the code in the current tree.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -206,3 +207,61 @@ def test_keys_order_like_image_tuples_past_one_byte_per_point():
 if __name__ == "__main__":
     for spec, p in CASES:
         print(_label(spec, p), " ".join(digests(spec, p)))
+
+
+def _pairwise_p_subgroup_classes(g, p):
+    """The level-by-level class search with each candidate tested for
+    conjugacy against every representative of its level."""
+    arr, elems = g.image_array(), g.elements()
+    power = arr
+    for _ in range(p - 1):
+        power = np.take_along_axis(arr, power, axis=1)
+    pth = g.indices(power)
+    trivial = g.trivial_subgroup()
+    trivial._adopt(g, [0])
+    classes = level = [trivial]
+    while level:
+        nxt, seen = [], set()
+        for qrep in level:
+            qarr = qrep.image_array()
+            in_q = np.zeros(len(arr), dtype=bool)
+            in_q[g.indices(qarr)] = True
+            qconj = [g._conjugates(x) for x in qrep.generators]
+            covered = in_q.copy()
+            normal = g._conjugates_in(qrep, qconj)
+            for x in np.flatnonzero(normal & ~in_q & in_q[pth]):
+                if covered[x]:
+                    continue
+                cosets = [qarr]
+                for _ in range(p - 1):
+                    cosets.append(arr[x][cosets[-1]])
+                cand = np.sort(g.indices(np.concatenate(cosets)))
+                covered[cand] = True
+                if cand.tobytes() in seen:
+                    continue
+                seen.add(cand.tobytes())
+                conj = qconj + [g._conjugates(elems[x])]
+                if any(g._conjugates_in(r, conj).any() for r in nxt):
+                    continue
+                sub = g.subgroup(qrep.generators + [elems[x]])
+                sub._adopt(g, cand)
+                nxt.append(sub)
+        classes = classes + nxt
+        level = nxt
+    return classes
+
+
+def test_p_subgroup_classes_match_the_pairwise_search():
+    """Bucketing candidates by their histogram of cycle types keeps every
+    representative, its generators and its place in the order."""
+    fast = parse_group("sylow:sym:8:2").p_subgroups_up_to_conjugacy(2)
+    slow = _pairwise_p_subgroup_classes(parse_group("sylow:sym:8:2"), 2)
+    assert len(fast) == len(slow) == 177
+    assert [_imgs(h.generators) for h in fast] == \
+        [_imgs(h.generators) for h in slow]
+
+
+def test_p_subgroup_classes_of_the_sylow_2_subgroup_of_s10():
+    classes = parse_group("sylow:sym:10:2").p_subgroups_up_to_conjugacy(2)
+    assert len(classes) == 978
+    assert classes[-1].order() == 256

@@ -1,4 +1,5 @@
-"""Property tests of the gfq kernels and of polys over every field shape.
+"""Property tests of the gfq kernels, of polys and of the algebra radical
+over every field shape.
 
 The fields cover prime fields (2, 7, 251), characteristic 2 extension
 fields, whose small products are a table gather with an XOR reduce (4,
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockperm import gfq, polys
+from blockperm import algebra, gfq, meataxe, polys
 
 FIELDS = [(2, 1), (7, 1), (251, 1), (2, 2), (2, 8), (3, 5), (5, 3), (13, 2)]
 fields = st.sampled_from(FIELDS).map(lambda pe: gfq.GF.get(*pe))
@@ -138,3 +139,25 @@ def test_factor_round_trip(F, seed, da, db):
     assert np.array_equal(prod, polys.monic(F, f))
     keys = [(polys.degree(g), g.tolist()) for g, _m in facs]
     assert keys == sorted(keys)
+
+
+@settings(deadline=None, max_examples=30)
+@given(fields, seeds, st.integers(1, 3), st.integers(1, 2))
+def test_trace_radical_of_polynomial_quotients(F, seed, da, db):
+    """GF(q)[x]/(a^2 b) on the basis 1, x, ..., x^(n-1) for random a, b:
+    the trace-functional radical is the MeatAxe radical of the regular
+    module, RREF rows and pivots."""
+    rng = np.random.default_rng(seed)
+    a, b = _poly(F, rng, da), _poly(F, rng, db)
+    f = polys.mul(F, polys.mul(F, a, a), b)
+    n = polys.degree(f)
+    mult = np.zeros((n, n, n), dtype=np.int16)
+    for i in range(n):
+        for j in range(n):
+            r = polys.divmod_poly(F, np.eye(1, i + j + 1, i + j,
+                                            dtype=np.int16)[0], f)[1]
+            mult[i, j, :len(r)] = r
+    alg = algebra.FinDimAlgebra(F, mult, np.eye(1, n, 0, dtype=np.int16)[0])
+    R, piv = alg.radical_basis()
+    R0, piv0 = meataxe.module_radical(F, alg.left_mats())
+    assert np.array_equal(R, R0) and list(piv) == list(piv0)

@@ -145,3 +145,10 @@ def test_relative_trace_span_matches_pairwise_products(spec, sub, field, qp):
         want = _trace_span_by_pairs(m, q)
         assert len(got) == len(want) > 0
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_brauer_construction_refuses_a_module_without_permutation_basis():
+    g = parse_group("sym:3")
+    m = GModule.trivial(g, gfq.GF.get(3))
+    with pytest.raises(ValueError, match="no declared permutation basis"):
+        vertexweight.brauer_construction(m, g.sylow_subgroup(3))
