@@ -1,11 +1,13 @@
 """Block decomposition of group algebras and the modules attached to blocks.
 
-The group algebra kG is handled through index tables rather than structure
-constant tensors: elements of kG are coefficient vectors over the sorted
-element list, and multiplication facts are encoded in the table
-M1[g, h] = index(g^-1 h).  A row of vec[M1] is then the left translate
-g * vec, so the fixed-point algebra B^P is an integer gather followed by an
-echelon call.
+Elements of kG are coefficient vectors over the sorted element list.  No
+|G| x |G| table is kept: products use index maps of size |G| looked up in
+the group's element and inverse arrays (PermGroup.indices), such as
+h -> index(s h) for a generator s or g -> index(g^-1 z) for one z.  Work
+that needs every translate g*x of a vector walks G breadth first along the
+generators: s*(g*x) is g*x gathered by the index map of s^-1, so only one
+layer of translates is alive at a time.  The fixed-point algebra B^P adds
+each translate g*e into its P-orbit sum as the walk reaches it.
 
 Blocks are found as the primitive idempotents of the center, which is small
 (one dimension per conjugacy class) even when kG itself is large.
@@ -15,7 +17,8 @@ ideal kG e.  For x in kG commuting with H (e, or a source idempotent i of
 B^P with H = P), kG x tensor_kH k is kG x[H] inside k[G/H], x[H] being the
 image of x under g -> gH; two-sided coinvariants are images in k[H\\G/H].
 The ideal route (ideal_rows, right_translation_mats, source_corner_rows)
-stays as an independent reference.
+stays as an independent reference for the tests; it builds its n x n
+operands for the duration of a call only.
 """
 
 import weakref
@@ -27,7 +30,7 @@ from . import meataxe
 from . import polys
 from .algebra import FinDimAlgebra
 from .modules import GModule, coset_map
-from .permgrp import Perm, ResourceCap, orbit_labels
+from .permgrp import ResourceCap, orbit_labels
 
 # past this order the n x n echelon work is only viable with the BLAS-backed
 # prime-field path
@@ -35,7 +38,8 @@ GENERIC_FIELD_ORDER_LIMIT = 600
 
 
 class GroupAlgebra:
-    """kG for a materialized permutation group, with index-table products."""
+    """kG for a materialized permutation group, with products on index maps
+    of size |G|."""
 
     def __init__(self, group, field):
         self.group = group
@@ -47,14 +51,15 @@ class GroupAlgebra:
                 "group of order %d needs a prime field for block work"
                 % self.n)
         self._eltarr = group.image_array()
+        self._invarr = group.inverse_array()
         self._itype = np.int16 if self.n < 2 ** 15 else np.int32
-        self.M1 = self._build_m1()
         self._classes = None
         self._center = None
         self._blocks = None
         self._cosets = {}
+        self._centralizers = {}
 
-    # -- index tables --
+    # -- index maps --
 
     def lmul_index(self, g):
         """arr with arr[h] = index(g * elems[h])."""
@@ -75,47 +80,79 @@ class GroupAlgebra:
         imgs = gi[self._eltarr[:, gii]]
         return self._lookup_rows(imgs)
 
-    def _lookup_rows(self, imgs):
-        return self.group.indices(imgs).astype(self._itype)
-
-    def _build_m1(self):
-        """M1[g, h] = index(elems[g]^-1 * elems[h]), built by BFS on rows:
-        for g' = s * g the row is M1[g'] = M1[g][linv_s]."""
-        n = self.n
-        M1 = np.empty((n, n), dtype=self._itype)
-        linv = [self.lmul_index(s.inv()) for s in self.group.generators]
-        lmul = [self.lmul_index(s) for s in self.group.generators]
-        e = self.group.index_of(Perm.identity(self.group.degree))
-        M1[e] = np.arange(n, dtype=self._itype)
-        done = np.zeros(n, dtype=bool)
-        done[e] = True
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in range(len(linv)):
-                    g2 = int(lmul[s][g])
-                    if not done[g2]:
-                        M1[g2] = M1[g][linv[s]]
-                        done[g2] = True
-                        nxt.append(g2)
-            frontier = nxt
-        if not done.all():
-            raise gfq.CertificateError("left translations miss an element")
-        return M1
+    def ldiv_index(self, z):
+        """arr with arr[g] = index(elems[g]^-1 * elems[z]), z an index."""
+        return self._lookup_rows(self._invarr[:, self._eltarr[z]])
 
     def inv_index(self):
         """arr[g] = index of elems[g]^-1."""
-        e = self.group.index_of(Perm.identity(self.group.degree))
-        return self.M1[:, e].copy()
+        return self._lookup_rows(self._invarr)
+
+    def _lookup_rows(self, imgs):
+        return self.group.indices(imgs).astype(self._itype)
+
+    def _walk(self, start, grow, label=None):
+        """Breadth-first walk on G from the identity (index 0) along left
+        multiplication by the generators, one layer at a time.
+
+        Yields (elements, payloads): the identity's payload is start, and
+        the payloads of s_j * g for a layer are grow(payloads of g, j).
+        With a label array on the elements, only the first element met of
+        each label is visited.  Only one layer of payloads is alive; the
+        walk checks at its end that it met every label."""
+        step = [self.lmul_index(s) for s in self.group.generators]
+        label = np.arange(self.n) if label is None else label
+        seen = np.zeros(int(label.max()) + 1, dtype=bool)
+        seen[label[0]] = True
+        elts, pay = np.zeros(1, dtype=np.intp), start[None, :]
+        while len(elts):
+            yield elts, pay
+            nxt, grown = [], []
+            for j, s in enumerate(step):
+                cand = s[elts]
+                lab, first = np.unique(label[cand], return_index=True)
+                first = first[~seen[lab]]
+                seen[lab] = True
+                nxt.append(cand[first])
+                grown.append(grow(pay[first], j))
+            elts = np.concatenate(nxt) if nxt else elts[:0]
+            pay = np.concatenate(grown) if grown else pay[:0]
+        if not seen.all():
+            raise gfq.CertificateError("the walk misses part of G")
+
+    def _left_translates(self, vec):
+        """Walk G yielding (elements, rows) with rows[i] = elems[elements[i]]
+        * vec: if y = g vec then (s y)[h] = y[s^-1 h]."""
+        linv = [self.lmul_index(s.inv()) for s in self.group.generators]
+        return self._walk(np.asarray(vec, dtype=np.int16),
+                          lambda rows, j: rows[:, linv[j]])
+
+    def _right_quotients(self, label=None):
+        """Walk G yielding (elements, maps) with maps[i][h] = index(elems[h]
+        * r^-1) for r = elems[elements[i]]: the map of s r is the map of r
+        followed by right multiplication by s^-1."""
+        rinv = [self.rmul_index(s.inv()) for s in self.group.generators]
+        return self._walk(np.arange(self.n, dtype=self._itype),
+                          lambda maps, j: rinv[j][maps], label)
 
     def convolve(self, x, y):
-        """Group algebra product of two coefficient vectors (O(n^2))."""
+        """Group algebra product of two coefficient vectors: the sum of
+        x[g] (g y) over the support of x, with (g y)[h] = y[g^-1 h]."""
         F = self.field
+        y = np.asarray(y, dtype=np.int16)
         out = np.zeros(self.n, dtype=np.int16)
         for g in np.nonzero(x)[0]:
-            out = F.add(out, F.mul(np.int16(x[g]), y[self.M1[int(g)]]))
+            ginv = self._lookup_rows(self._invarr[g][self._eltarr])
+            out = F.add(out, F.mul(np.int16(x[g]), y[ginv]))
         return out
+
+    def centralizer_support(self, q):
+        """Indices of the elements of C_G(Q), cached per subgroup."""
+        key = _subgroup_key(q)
+        if key not in self._centralizers:
+            self._centralizers[key] = np.flatnonzero(
+                self.group.centralizer_mask(q))
+        return self._centralizers[key]
 
     # -- conjugacy classes and the center --
 
@@ -143,13 +180,11 @@ class GroupAlgebra:
         class_of, lists = self.conjugacy_classes()
         c = len(lists)
         mult = np.zeros((c, c, c), dtype=np.int16)
-        p = self.field.p
-        for a in range(c):
-            rows = self.M1[lists[a]]
-            for k in range(c):
-                z = int(lists[k][0])
-                counts = np.bincount(class_of[rows[:, z]], minlength=c)
-                mult[a, :, k] = (counts % p).astype(np.int16)
+        for k in range(c):
+            # the classes of each x and of x^-1 z, one z in class k
+            col = self.ldiv_index(int(lists[k][0]))
+            pairs = np.bincount(class_of * c + class_of[col], minlength=c * c)
+            mult[:, :, k] = pairs.reshape(c, c) % self.field.p
         one = np.zeros(c, dtype=np.int16)
         one[0] = 1  # the identity class is a singleton and sorts first
         Z = FinDimAlgebra(self.field, mult, one)
@@ -166,7 +201,8 @@ class GroupAlgebra:
     def blocks(self, seed=0):
         """The blocks, principal first.  Blocks hold the algebra, which keeps
         their idempotents and results but the Blocks only weakly: dropping
-        both frees the n x n tables at once, without a full collection."""
+        both frees the algebra and its caches at once, without a full
+        collection."""
         if self._blocks is None:
             prims = self.center_algebra().primitive_idempotents(seed=seed)
             new = [Block(self, c, {}) for c in prims]
@@ -183,8 +219,11 @@ class GroupAlgebra:
         return out
 
     def ideal_rows(self, vec):
-        """RREF basis of the left ideal kG*vec (rows are g*vec)."""
-        T = np.asarray(vec, dtype=np.int16)[self.M1]
+        """RREF basis of the left ideal kG*vec (rows are g*vec), echeloned
+        from all n translates at once: a reference route only."""
+        T = np.empty((self.n, self.n), dtype=np.int16)
+        for elts, rows in self._left_translates(vec):
+            T[elts] = rows
         return gfq.echelon(self.field, T)
 
     def right_translation_mats(self, rows, piv, elements):
@@ -227,23 +266,24 @@ class GroupAlgebra:
         return GModule(self.group, F, mats, dim=len(piv)), rows, piv
 
     def left_mult_on_cosets(self, x, h):
-        """Matrix of v -> x v on k[G/H]: column j is x reps[j] summed over
-        each coset, where (x r)[g] = x[g r^-1] = x[M1[inv[g], inv[r]]]."""
+        """Matrix of v -> x v on k[G/H]: column j is x r summed over each
+        coset, for any r in coset j, where (x r)[g] = x[g r^-1].  The maps
+        g -> index(g r^-1) come from a walk visiting each coset once."""
         F = self.field
         _perm, cos = self.cosets(h)
-        inv = self.inv_index()
+        coset_of = _coset_of(cos, self.n)
         x = np.asarray(x, dtype=np.int16)
-        left = inv[cos]
-        cols = [F.sum(x[self.M1[left, inv[r]]], axis=1) for r in cos[:, 0]]
-        return np.array(cols, dtype=np.int16).T
+        out = np.empty((len(cos), len(cos)), dtype=np.int16)
+        for elts, maps in self._right_quotients(label=coset_of):
+            out[:, coset_of[elts]] = F.sum(x[maps[:, cos]], axis=2).T
+        return out
 
     def double_coset_rank(self, rows, h):
         """Rank of rows (vectors of k[G/H]) summed over each H-orbit of
         cosets, i.e. projected onto k[H\\G/H]: the dimension of the
         H-coinvariants of their span when that is a kH-summand of k[G/H]."""
         _perm, cos = self.cosets(h)
-        coset_of = np.empty(self.n, dtype=np.int64)
-        coset_of[cos] = np.arange(len(cos))[:, None]
+        coset_of = _coset_of(cos, self.n)
         moves = [coset_of[self.lmul_index(u)[cos[:, 0]]] for u in h.generators]
         orbit = orbit_labels(moves, len(cos))
         sums = (orbit[:, None] == np.arange(orbit.max() + 1)).astype(np.int16)
@@ -275,6 +315,13 @@ class GroupAlgebra:
 
 def _subgroup_key(h):
     return (h.order(), tuple(g.img for g in h.generators))
+
+
+def _coset_of(cos, n):
+    """Coset number of each element, from a cosets() index table."""
+    out = np.empty(n, dtype=np.intp)
+    out[cos] = np.arange(len(cos))[:, None]
+    return out
 
 
 class Block:
@@ -316,9 +363,7 @@ class Block:
     def brauer_quotient_nonzero(self, q):
         """Whether the image of the block idempotent under truncation to
         C_G(Q)-supported coordinates is nonzero."""
-        cent = self.ga.group.centralizer(q)
-        sup = self.ga.group.indices(cent.image_array())
-        return bool(np.asarray(self.evec)[sup].any())
+        return bool(self.evec[self.ga.centralizer_support(q)].any())
 
     def defect_group(self):
         """A maximal p-subgroup with nonzero Brauer quotient (unique class)."""
@@ -337,26 +382,37 @@ class Block:
     def fixed_point_algebra(self, p_sub):
         """B^P = e (kG)^P for a p-subgroup P, as (algebra, rows, pivots).
 
-        Spanned by the P-conjugation orbit sums of the translates g*e; the
-        structure constants are read off pivot coordinates with one gathered
-        matrix product per pivot.
+        Spanned by the P-conjugation orbit sums of the translates g*e, each
+        translate added to its orbit's sum as the walk over G reaches it;
+        the structure constants are read off pivot coordinates with one
+        gathered matrix product per pivot.
         """
         key = _subgroup_key(p_sub)
         if key in self._fpa:
             return self._fpa[key]
         ga = self.ga
         F = ga.field
-        n = ga.n
-        T = np.asarray(self.evec, dtype=np.int16)[ga.M1]  # row g is g*e
-        orbit_of = orbit_labels([ga.conj_index(s) for s in p_sub.generators], n)
-        sums = np.array([F.sum(T[orbit_of == o], axis=0)
-                         for o in range(orbit_of.max() + 1)], dtype=np.int16)
+        orbit_of = orbit_labels([ga.conj_index(s) for s in p_sub.generators],
+                                ga.n)
+        if F.e == 1:  # raw sums of at most |P| codes below p, reduced last
+            big = p_sub.order() * (F.p - 1) >= 2 ** 15
+            add, dtype = np.add, np.int32 if big else np.int16
+        else:
+            add, dtype = F.add, np.int16
+        sums = np.zeros((orbit_of.max() + 1, ga.n), dtype=dtype)
+        for elts, rows in ga._left_translates(self.evec):
+            lab = orbit_of[elts]
+            while len(lab):  # one round per repeat of an orbit in the layer
+                u, first = np.unique(lab, return_index=True)
+                sums[u] = add(sums[u], rows[first])
+                lab, rows = np.delete(lab, first), np.delete(rows, first, 0)
+        if F.e == 1:
+            sums = (sums % F.p).astype(np.int16)
         rows, piv = gfq.echelon(F, sums)
         d = rows.shape[0]
         mult = np.zeros((d, d, d), dtype=np.int16)
         for k, pk in enumerate(piv):
-            col = ga.M1[:, pk]
-            Y = rows[:, col]  # Y[j, g] = r_j[g^-1 z_k]
+            Y = rows[:, ga.ldiv_index(pk)]  # Y[j, g] = r_j[g^-1 z_k]
             mult[:, :, k] = F.matmul(rows, Y.T)
         one = np.asarray(self.evec)[piv].astype(np.int16)
         alg = FinDimAlgebra(F, mult, one)
@@ -371,14 +427,13 @@ class Block:
             return self._source[key]
         ga = self.ga
         alg, rows, piv = self.fixed_point_algebra(p_sub)
-        cent = ga.group.centralizer(p_sub)
-        sup = ga.group.indices(cent.image_array())
+        sup = ga.centralizer_support(p_sub)
         for f in alg.primitive_idempotents(seed=seed):
             vec = ga.field.matmul(f[None, :], rows)[0]
             if vec[sup].any():
                 self._source[key] = vec
                 return vec
-        raise AssertionError("no source idempotent found")
+        raise gfq.CertificateError("no source idempotent found")
 
     # -- coinvariant modules --
 
@@ -420,12 +475,11 @@ class Block:
         F = ga.field
         ivec = self.source_idempotent(p_sub, seed=seed)
         rows, _piv = ga.ideal_rows(ivec)
-        inv = ga.inv_index()
-        # LI[m, h] = i[m h^-1]; then (i*x)[m] = sum_h LI[m, h] x[h]
-        A = ga.M1[np.ix_(inv, inv)]        # A[h, m] = idx(h m^-1)
-        LI = np.asarray(ivec, dtype=np.int16)[inv[A]].T
-        corner = F.matmul(rows, LI.T)
-        return gfq.echelon(F, corner)
+        # (i*x)[m] = sum_h x[h] i[m h^-1], and row h of R is i[m h^-1]
+        R = np.empty((ga.n, ga.n), dtype=np.int16)
+        for elts, maps in ga._right_quotients():
+            R[elts] = ivec[maps]
+        return gfq.echelon(F, F.matmul(rows, R))
 
     def source_orbit_count(self, p_sub, seed=0):
         """Number of P-P orbits on a P-P-stable basis of the corner iBi.
@@ -447,9 +501,9 @@ class Block:
         p_sub = self.defect_group()
         g = self.ga.group
         norm = g.normalizer(p_sub)
-        cent = g.centralizer(p_sub)
-        meet = len(p_sub.element_set() & cent.element_set())
-        return norm.order() * meet == p_sub.order() * cent.order()
+        cent = self.ga.centralizer_support(p_sub)
+        meet = np.isin(g.indices(p_sub.image_array()), cent).sum()
+        return norm.order() * int(meet) == p_sub.order() * len(cent)
 
     def two_sided_coinvariant_dim(self, subgroup):
         """dim of k tensor_H B tensor_H k: the quotient of the block by all
@@ -477,11 +531,10 @@ class Block:
         """
         ga = self.ga
         norm = ga.group.normalizer(p_sub).with_small_generators()
-        cent = ga.group.centralizer(p_sub)
+        cent = ga.centralizer_support(p_sub)
         small = GroupAlgebra(norm, ga.field)
         br = np.zeros(small.n, dtype=np.int16)
-        rows = cent.image_array()
-        br[small.group.indices(rows)] = self.evec[ga.group.indices(rows)]
+        br[small.group.indices(ga._eltarr[cent])] = self.evec[cent]
         if not np.array_equal(small.convolve(br, br), br):
             raise gfq.CertificateError("Brauer quotient of the block "
                                        "idempotent is not idempotent")
@@ -522,6 +575,6 @@ def brauer_hom(ga, x, p_sub):
             raise ValueError("element is not fixed under P-conjugation")
     cent = ga.group.centralizer(p_sub).with_small_generators()
     out = np.zeros(ga.n, dtype=np.int16)
-    sup = ga.group.indices(cent.image_array())
+    sup = ga.centralizer_support(p_sub)
     out[sup] = x[sup]
     return cent, out

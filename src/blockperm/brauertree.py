@@ -53,7 +53,8 @@ class BrauerTree:
     def __init__(self, vertices, exceptional=None):
         self.cycles = {}
         for vid, cyc in vertices:
-            assert vid not in self.cycles, "duplicate vertex id"
+            if vid in self.cycles:
+                raise ValueError("duplicate vertex id %r" % (vid,))
             self.cycles[vid] = list(cyc)
         self.exceptional = tuple(exceptional) if exceptional else None
         self._validate()
@@ -61,14 +62,17 @@ class BrauerTree:
     def _validate(self):
         ends = {}
         for vid, cyc in self.cycles.items():
-            assert len(set(cyc)) == len(cyc), "repeated edge at a vertex"
+            if len(set(cyc)) != len(cyc):
+                raise ValueError("repeated edge at vertex %r" % (vid,))
             for e in cyc:
                 ends.setdefault(e, []).append(vid)
         for e, vs in ends.items():
-            assert len(vs) == 2, "edge %r must have two endpoints" % (e,)
+            if len(vs) != 2:
+                raise ValueError("edge %r must have two endpoints" % (e,))
         self.ends = {e: tuple(vs) for e, vs in ends.items()}
         nv, ne = len(self.cycles), len(ends)
-        assert ne == nv - 1, "a tree has one fewer edge than vertices"
+        if ne != nv - 1:
+            raise ValueError("a tree has one fewer edge than vertices")
         # connectivity via the edge incidences
         seen = set()
         start = next(iter(self.cycles))
@@ -81,10 +85,13 @@ class BrauerTree:
             for e in self.cycles[v]:
                 a, b = self.ends[e]
                 stack.append(b if a == v else a)
-        assert len(seen) == nv, "tree is not connected"
+        if len(seen) != nv:
+            raise ValueError("tree is not connected")
         if self.exceptional is not None:
             vid, m = self.exceptional
-            assert vid in self.cycles and m >= 2
+            if vid not in self.cycles or m < 2:
+                raise ValueError("exceptional vertex needs an existing "
+                                 "vertex and m >= 2")
         self._color()
 
     def _color(self):
@@ -139,7 +146,7 @@ class BrauerTree:
 
 def line_tree(num_edges, exceptional=None):
     """A line with edges 0..num_edges-1 between vertices i and i+1."""
-    assert num_edges >= 1
+    _check_edge_count(num_edges)
     verts = []
     for v in range(num_edges + 1):
         cyc = [e for e in (v - 1, v) if 0 <= e < num_edges]
@@ -149,12 +156,17 @@ def line_tree(num_edges, exceptional=None):
 
 def star_tree(num_edges, m=None):
     """A star: centre vertex 0 carries all edges, optionally exceptional."""
-    assert num_edges >= 1
+    _check_edge_count(num_edges)
     verts = [(0, list(range(num_edges)))]
     for e in range(num_edges):
         verts.append((e + 1, [e]))
     exc = (0, m) if m is not None else None
     return BrauerTree(verts, exceptional=exc)
+
+
+def _check_edge_count(num_edges):
+    if num_edges < 1:
+        raise ValueError("a Brauer tree needs at least one edge")
 
 
 def _cycle_successor(cyc):
@@ -168,7 +180,7 @@ def rho_sigma(tree, swap=False):
     vertices (swap exchanges the roles).  For any Brauer tree the product
     rho o sigma acts as a single cycle on the edge set, and an edge is the
     only element common to its rho-orbit and its sigma-orbit; both facts
-    are asserted.
+    are checked (CertificateError).
     """
     rho, sigma = {}, {}
     for vid, cyc in tree.cycles.items():
@@ -182,10 +194,13 @@ def rho_sigma(tree, swap=False):
     while e not in seen:
         seen.add(e)
         e = rho[sigma[e]]
-    assert len(seen) == len(edges), "rho o sigma is not a full cycle"
+    if len(seen) != len(edges):
+        raise gfq.CertificateError("rho o sigma is not a full cycle")
     for e in edges:
         common = _orbit_of(rho, e) & _orbit_of(sigma, e)
-        assert common == {e}, "rho/sigma orbits of %r share %r" % (e, common)
+        if common != {e}:
+            raise gfq.CertificateError("rho/sigma orbits of %r share %r"
+                                       % (e, common))
     return rho, sigma
 
 

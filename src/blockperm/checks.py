@@ -46,7 +46,7 @@ class Context:
         for b in ga.blocks(seed=seed):
             if b.is_principal:
                 return ga, b
-        raise AssertionError("no principal block")
+        raise gfq.CertificateError("no principal block")
 
 
 class CheckReport:
@@ -100,7 +100,8 @@ CHECKS = {}
 
 def _register(check_id, anchor, suites, inputs=None):
     def deco(fn):
-        assert check_id not in CHECKS, "duplicate check id"
+        if check_id in CHECKS:
+            raise ValueError("duplicate check id %r" % check_id)
         CHECKS[check_id] = CheckSpec(check_id, anchor, suites, fn, inputs)
         return fn
     return deco

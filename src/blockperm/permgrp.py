@@ -286,6 +286,11 @@ class PermGroup:
             self._arr, self._inv, self._keys = arr, inv, keys
         return self._arr
 
+    def inverse_array(self):
+        """Row i is the image array of elements()[i]^-1."""
+        self.image_array()
+        return self._inv
+
     def elements(self, cap=None):
         """All elements as a sorted list of Perms; requires order <= cap."""
         if self._elements is None:
@@ -381,10 +386,13 @@ class PermGroup:
         return np.take_along_axis(arr, np.asarray(x.img)[self._inv], axis=1)
 
     def _from_mask(self, mask):
-        """The subgroup of the elements under mask, each a generator."""
+        """The subgroup of the elements under mask, each but the identity
+        (index 0) a generator.  Elements of a materialized group need no
+        identity or degree test, so the generators are set directly."""
         which = np.flatnonzero(mask)
         elems = self.elements()
-        grp = PermGroup(self.degree, [elems[i] for i in which])
+        grp = PermGroup(self.degree, [])
+        grp.generators = [elems[i] for i in which.tolist() if i]
         grp._adopt(self, which)
         return grp
 
@@ -473,12 +481,16 @@ class PermGroup:
             h, [self._conjugates(x) for x in h.generators]))
 
     def centralizer(self, h):
+        return self._from_mask(self.centralizer_mask(h))
+
+    def centralizer_mask(self, h):
+        """Mask of the elements commuting with every generator of h."""
         arr = self.image_array()
         mask = np.ones(len(arr), dtype=bool)
         for x in h.generators:
             xa = np.asarray(x.img)
             mask &= (arr[:, xa] == xa[arr]).all(axis=1)
-        return self._from_mask(mask)
+        return mask
 
     def conjugating_element(self, h1, h2):
         """The least g in self with g h1 g^-1 == h2, or None."""

@@ -10,6 +10,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .gfq import CertificateError
+
 
 def partitions(n, cap=None):
     """All partitions of n in descending lexicographic order."""
@@ -78,7 +80,8 @@ def mn_value(lam, mu):
     """Character value chi_lam on the class of cycle type mu (exact int)."""
     lam = tuple(lam)
     mu = tuple(sorted(mu, reverse=True))
-    assert sum(lam) == sum(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError("partitions of different sizes")
     if not lam:
         return 1
     part = mu[0]
@@ -143,11 +146,14 @@ def sylow_multiplicity(p, i):
     permutation character of S_p on the cosets of a Sylow p-subgroup C_p.
 
     The closed form is (1/p) * (binom(p-1, i) + (p-1) * (-1)^i); the value
-    is always an integer and this is asserted.
+    is always an integer and this is checked.
     """
-    assert 0 <= i < p
+    if not 0 <= i < p:
+        raise ValueError("hook index %d outside 0..%d" % (i, p - 1))
     num = comb(p - 1, i) + (p - 1) * (-1) ** i
-    assert num % p == 0, "multiplicity formula did not produce an integer"
+    if num % p:
+        raise CertificateError("multiplicity formula did not produce an "
+                               "integer")
     return num // p
 
 
@@ -165,7 +171,8 @@ def sylow_multiplicity_oracle(p, i):
     lam = hooks(p)[i]
     val = mn_value(lam, (1,) * p) + (p - 1) * mn_value(lam, (p,))
     q, r = divmod(val, p)
-    assert r == 0
+    if r:
+        raise CertificateError("averaged character is not an integer")
     return q
 
 
@@ -174,7 +181,7 @@ def perm_character_multiplicities(n, subgroup):
     the cosets of a subgroup, i.e. (1/|H|) sum over H of chi(cycle type).
 
     subgroup is a PermGroup of degree n.  Returns a dict keyed by
-    partition; values are exact Fractions (always integral, asserted).
+    partition; values are exact Fractions (always integral, checked).
     """
     elems = subgroup.elements()
     types = [_cycle_type(g, n) for g in elems]
@@ -182,7 +189,9 @@ def perm_character_multiplicities(n, subgroup):
     for lam in partitions(n):
         acc = sum(mn_value(lam, t) for t in types)
         val = Fraction(acc, len(elems))
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise CertificateError("multiplicity of %r is not an integer"
+                                   % (lam,))
         out[lam] = int(val)
     return out
 

@@ -116,7 +116,7 @@ def vertex_certificate(m):
         witnesses.append((q.order(), ok))
         if ok:
             return VertexCertificate(m, q, witnesses)
-    raise AssertionError("no vertex found; Sylow should always work")
+    raise gfq.CertificateError("no vertex found; Sylow should always work")
 
 
 def vertex(m):
@@ -268,12 +268,11 @@ def block_of_weight(ga, weight, seed=0):
         raise gfq.CertificateError("no block of N acts as 1 on the weight")
     lam_small = gan.central_character(target.coords)
     class_of_n, _lists_n = gan.conjugacy_classes()
-    cent = ga.group.centralizer(q)
-    rows = cent.image_array()
-    cent_in_n = gan.group.indices(rows)
+    cent = ga.centralizer_support(q)
+    cent_in_n = gan.group.indices(ga.group.image_array()[cent])
     # transported character on the big classes
     class_of, lists = ga.conjugacy_classes()
-    class_in_g = class_of[ga.group.indices(rows)]
+    class_in_g = class_of[cent]
     lam = []
     for a in range(len(lists)):
         val = 0

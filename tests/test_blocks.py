@@ -306,3 +306,143 @@ def test_block_input_checks_raise_value_error():
     x[[i for i, e in enumerate(ga.elems) if e.order() == 2][0]] = 1
     with pytest.raises(ValueError, match="not fixed under P-conjugation"):
         blocks.brauer_hom(ga, x, c3)
+
+
+# -- products on index maps against the stored |G| x |G| table they replace --
+
+
+def _reference_m1(ga):
+    """M1[g, h] = index(g^-1 h), built breadth first on rows: for g' = s g
+    the row is M1[g][index map of s^-1 on the left]."""
+    n = ga.n
+    M1 = np.empty((n, n), dtype=ga._itype)
+    linv = [ga.lmul_index(s.inv()) for s in ga.group.generators]
+    lmul = [ga.lmul_index(s) for s in ga.group.generators]
+    e = ga.group.index_of(Perm.identity(ga.group.degree))
+    M1[e] = np.arange(n, dtype=ga._itype)
+    done = np.zeros(n, dtype=bool)
+    done[e] = True
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in range(len(linv)):
+                g2 = int(lmul[s][g])
+                if not done[g2]:
+                    M1[g2] = M1[g][linv[s]]
+                    done[g2] = True
+                    nxt.append(g2)
+        frontier = nxt
+    assert done.all()
+    return M1
+
+
+def _reference_center_mult(ga, M1):
+    class_of, lists = ga.conjugacy_classes()
+    c = len(lists)
+    mult = np.zeros((c, c, c), dtype=np.int16)
+    for a in range(c):
+        rows = M1[lists[a]]
+        for k in range(c):
+            counts = np.bincount(class_of[rows[:, int(lists[k][0])]],
+                                 minlength=c)
+            mult[a, :, k] = counts % ga.field.p
+    return mult
+
+
+def _reference_fixed_point_algebra(b, p_sub, M1):
+    ga, F = b.ga, b.ga.field
+    T = b.evec[M1]  # row g is g*e
+    orbit_of = blocks.orbit_labels(
+        [ga.conj_index(s) for s in p_sub.generators], ga.n)
+    sums = np.array([F.sum(T[orbit_of == o], axis=0)
+                     for o in range(orbit_of.max() + 1)], dtype=np.int16)
+    rows, piv = gfq.echelon(F, sums)
+    d = rows.shape[0]
+    mult = np.zeros((d, d, d), dtype=np.int16)
+    for k, pk in enumerate(piv):
+        mult[:, :, k] = F.matmul(rows, rows[:, M1[:, pk]].T)
+    return mult, rows, piv
+
+
+def _reference_left_mult_on_cosets(ga, x, h, M1):
+    _perm, cos = ga.cosets(h)
+    inv = M1[:, 0]  # the identity has index 0
+    cols = [ga.field.sum(x[M1[inv[cos], inv[r]]], axis=1) for r in cos[:, 0]]
+    return np.array(cols, dtype=np.int16).T
+
+
+def _reference_convolve(ga, x, y, M1):
+    F = ga.field
+    out = np.zeros(ga.n, dtype=np.int16)
+    for g in np.nonzero(x)[0]:
+        out = F.add(out, F.mul(np.int16(x[g]), y[M1[int(g)]]))
+    return out
+
+
+@pytest.mark.parametrize("gspec,fspec", [
+    (g, f) for g in ("sym:3", "sym:4", "sym:5", "sym:6", "alt:4", "alt:5")
+    for f in ("2", "3", "5", "2^2") if (g, f) != ("sym:6", "2^2")])
+def test_index_maps_match_the_stored_table(gspec, fspec):
+    """Byte-identical to the |G| x |G| table route: the center's structure
+    constants, inverses, products, left multiplication on k[G/Q] and B^Q
+    for every block and every p-subgroup class representative Q.  B^Q is
+    skipped when Q has more than 150 conjugation orbits on G (only for
+    sym:6, where B^1 would be a 720-dim algebra)."""
+    ga = blocks.GroupAlgebra(parse_group(gspec), gfq.GF.parse(fspec))
+    F, M1 = ga.field, _reference_m1(ga)
+    assert np.array_equal(ga.center_algebra().mult,
+                          _reference_center_mult(ga, M1))
+    assert np.array_equal(ga.inv_index(), M1[:, 0])
+    rng = np.random.default_rng(0)
+    x, y = (F.array(rng.integers(0, F.q, ga.n)) for _ in range(2))
+    assert np.array_equal(ga.convolve(x, y), _reference_convolve(ga, x, y, M1))
+    classes = ga.group.p_subgroups_up_to_conjugacy(F.p)
+    for q in classes:
+        assert np.array_equal(ga.left_mult_on_cosets(x, q),
+                              _reference_left_mult_on_cosets(ga, x, q, M1))
+    for b in ga.blocks(seed=0):
+        for q in classes:
+            orbits = blocks.orbit_labels(
+                [ga.conj_index(s) for s in q.generators], ga.n)
+            if orbits.max() >= 150:
+                continue
+            alg, rows, piv = b.fixed_point_algebra(q)
+            rmult, rrows, rpiv = _reference_fixed_point_algebra(b, q, M1)
+            assert np.array_equal(alg.mult, rmult)
+            assert np.array_equal(rows, rrows)
+            assert list(piv) == list(rpiv)
+
+
+def test_no_group_by_group_table_is_kept():
+    """After blocks(), defect groups and a source idempotent on GF(5)S_6,
+    no array reachable from the group algebra or its blocks has two axes
+    of length |G| or more.  (Counting entries instead would flag the
+    structure constants of the 88-dim B^P, 88^3 > 720^2 entries.)"""
+    import types
+
+    ga = blocks.GroupAlgebra(parse_group("sym:6"), gfq.GF.get(5))
+    held = ga.blocks(seed=0)
+    for b in held:
+        b.defect_group()
+    held[0].source_idempotent(held[0].defect_group(), seed=0)
+    n = ga.n
+    seen, stack, arrays = set(), [ga] + held, []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType, str)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj if obj.base is None else obj.base)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    assert len(arrays) > 20
+    for a in arrays:
+        assert sum(1 for k in np.shape(a) if k >= n) < 2, np.shape(a)

@@ -125,3 +125,24 @@ def _direct_sum_algebras(field, algs):
         one[off:off + d] = a.one
         off += d
     return algebra.FinDimAlgebra(field, mult, one)
+
+
+def test_tree_checks_run_under_python_O(failure_kinds_under_O):
+    """Malformed trees are bad input (ValueError); a tree whose vertex
+    orders are broken after validation fails the rho/sigma certificate."""
+    assert failure_kinds_under_O("""
+        from blockperm import brauertree
+        from blockperm.brauertree import BrauerTree
+        broken = brauertree.star_tree(3)
+        broken.cycles[0] = [0, 1]
+        for f in [lambda: BrauerTree([(0, [0]), (0, [0])]),
+                  lambda: BrauerTree([(0, [0, 0]), (1, [0])]),
+                  lambda: BrauerTree([(0, [0]), (1, [1])]),
+                  lambda: BrauerTree([(0, [0, 1]), (1, [0, 1])]),
+                  lambda: BrauerTree([(0, [0]), (1, [0]), (2, [1, 2]),
+                                      (3, [1, 2])]),
+                  lambda: brauertree.star_tree(2, m=1),
+                  lambda: brauertree.line_tree(0),
+                  lambda: brauertree.rho_sigma(broken)]:
+            print(kind(f))
+        """) == ["value"] * 7 + ["cert"]

@@ -99,3 +99,18 @@ def test_fast_checks_do_not_depend_on_the_seed():
         assert all(r.pop("seed") == seed and r["passed"] for r in data)
         texts.append(json.dumps(data, sort_keys=True))
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_registry_checks_run_under_python_O(failure_kinds_under_O):
+    """A second check under a used id is refused; a group algebra without a
+    principal block fails a certificate."""
+    assert failure_kinds_under_O("""
+        import types
+        from blockperm import checks
+        print(kind(lambda: checks._register("thm-1.10-v4", "x", ("all",))(
+            print)))
+        ctx = checks.Context()
+        ctx._algebras[("g", "f")] = types.SimpleNamespace(
+            blocks=lambda seed=0: [])
+        print(kind(lambda: ctx.principal_block("g", "f")))
+        """) == ["value", "cert"]

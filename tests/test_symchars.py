@@ -98,3 +98,21 @@ def test_perm_character_multiplicities_regular():
     mult = symchars.perm_character_multiplicities(n, h)
     for lam, c in mult.items():
         assert c == symchars.dimension(lam)
+
+
+def test_symchars_checks_run_under_python_O(failure_kinds_under_O):
+    """Mismatched sizes and hook indices are bad input; with the character
+    values or binomials replaced by wrong ones, the integrality
+    certificates fire."""
+    assert failure_kinds_under_O("""
+        from blockperm import symchars
+        from blockperm.permgrp import PermGroup
+        print(kind(lambda: symchars.mn_value((2, 1), (2,))))
+        print(kind(lambda: symchars.sylow_multiplicity(5, 5)))
+        symchars.comb = lambda a, b: 1
+        print(kind(lambda: symchars.sylow_multiplicity(5, 1)))
+        symchars.mn_value = lambda lam, mu: int(mu == (1,) * sum(mu))
+        print(kind(lambda: symchars.sylow_multiplicity_oracle(5, 1)))
+        print(kind(lambda: symchars.perm_character_multiplicities(
+            3, PermGroup.symmetric(3))))
+        """) == ["value", "value", "cert", "cert", "cert"]
