@@ -1,13 +1,15 @@
 """Block decomposition of group algebras and the modules attached to blocks.
 
 Elements of kG are coefficient vectors over the sorted element list.  No
-|G| x |G| table is kept: products use index maps of size |G| looked up in
-the group's element and inverse arrays (PermGroup.indices), such as
-h -> index(s h) for a generator s or g -> index(g^-1 z) for one z.  Work
+|G| x |G| multiplication table is kept: products use index maps of size
+|G| looked up in the group's element and inverse arrays
+(PermGroup.indices), such as h -> index(s h) for a generator s or
+g -> index(g^-1 z) for one z.  Work
 that needs every translate g*x of a vector walks G breadth first along the
 generators: s*(g*x) is g*x gathered by the index map of s^-1, so only one
 layer of translates is alive at a time.  The fixed-point algebra B^P adds
-each translate g*e into its P-orbit sum as the walk reaches it.
+each translate g*e into its P-orbit sum as the walk reaches it.  For a
+trivial P (a block of defect zero) B^1 and k[G/1] are still |G| x |G|.
 
 Blocks are found as the primitive idempotents of the center, which is small
 (one dimension per conjugacy class) even when kG itself is large.
@@ -83,10 +85,6 @@ class GroupAlgebra:
     def ldiv_index(self, z):
         """arr with arr[g] = index(elems[g]^-1 * elems[z]), z an index."""
         return self._lookup_rows(self._invarr[:, self._eltarr[z]])
-
-    def inv_index(self):
-        """arr[g] = index of elems[g]^-1."""
-        return self._lookup_rows(self._invarr)
 
     def _lookup_rows(self, imgs):
         return self.group.indices(imgs).astype(self._itype)
@@ -394,20 +392,13 @@ class Block:
         F = ga.field
         orbit_of = orbit_labels([ga.conj_index(s) for s in p_sub.generators],
                                 ga.n)
-        if F.e == 1:  # raw sums of at most |P| codes below p, reduced last
-            big = p_sub.order() * (F.p - 1) >= 2 ** 15
-            add, dtype = np.add, np.int32 if big else np.int16
-        else:
-            add, dtype = F.add, np.int16
-        sums = np.zeros((orbit_of.max() + 1, ga.n), dtype=dtype)
+        sums = np.zeros((orbit_of.max() + 1, ga.n), dtype=np.int16)
         for elts, rows in ga._left_translates(self.evec):
             lab = orbit_of[elts]
             while len(lab):  # one round per repeat of an orbit in the layer
                 u, first = np.unique(lab, return_index=True)
-                sums[u] = add(sums[u], rows[first])
+                sums[u] = F.add(sums[u], rows[first])
                 lab, rows = np.delete(lab, first), np.delete(rows, first, 0)
-        if F.e == 1:
-            sums = (sums % F.p).astype(np.int16)
         rows, piv = gfq.echelon(F, sums)
         d = rows.shape[0]
         mult = np.zeros((d, d, d), dtype=np.int16)
@@ -573,8 +564,10 @@ def brauer_hom(ga, x, p_sub):
     for s in p_sub.generators:
         if not np.array_equal(x[ga.conj_index(s)], x):
             raise ValueError("element is not fixed under P-conjugation")
-    cent = ga.group.centralizer(p_sub).with_small_generators()
-    out = np.zeros(ga.n, dtype=np.int16)
     sup = ga.centralizer_support(p_sub)
+    mask = np.zeros(ga.n, dtype=bool)
+    mask[sup] = True
+    cent = ga.group._from_mask(mask).with_small_generators()
+    out = np.zeros(ga.n, dtype=np.int16)
     out[sup] = x[sup]
     return cent, out

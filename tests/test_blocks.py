@@ -84,6 +84,8 @@ def test_brauer_hom_multiplicative_on_class_sums():
             _c2, by = blocks.brauer_hom(ga, y, p_sub)
             _c3, bxy = blocks.brauer_hom(ga, ga.convolve(x, y), p_sub)
             assert np.array_equal(bxy, ga.convolve(bx, by))
+    cent = blocks.brauer_hom(ga, x, p_sub)[0]
+    assert cent.elements() == g.centralizer(p_sub).elements()
 
 
 def test_source_permutation_module_dims_s5():
@@ -385,7 +387,7 @@ def _reference_convolve(ga, x, y, M1):
     for f in ("2", "3", "5", "2^2") if (g, f) != ("sym:6", "2^2")])
 def test_index_maps_match_the_stored_table(gspec, fspec):
     """Byte-identical to the |G| x |G| table route: the center's structure
-    constants, inverses, products, left multiplication on k[G/Q] and B^Q
+    constants, products, left multiplication on k[G/Q] and B^Q
     for every block and every p-subgroup class representative Q.  B^Q is
     skipped when Q has more than 150 conjugation orbits on G (only for
     sym:6, where B^1 would be a 720-dim algebra)."""
@@ -393,7 +395,6 @@ def test_index_maps_match_the_stored_table(gspec, fspec):
     F, M1 = ga.field, _reference_m1(ga)
     assert np.array_equal(ga.center_algebra().mult,
                           _reference_center_mult(ga, M1))
-    assert np.array_equal(ga.inv_index(), M1[:, 0])
     rng = np.random.default_rng(0)
     x, y = (F.array(rng.integers(0, F.q, ga.n)) for _ in range(2))
     assert np.array_equal(ga.convolve(x, y), _reference_convolve(ga, x, y, M1))
