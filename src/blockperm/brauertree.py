@@ -348,17 +348,3 @@ def matches_tree(alg, tree, seed=0):
             return True
     return False
 
-
-def random_tree(rng, num_edges, allow_exceptional=True):
-    """A random Brauer tree with the given number of edges (for tests)."""
-    parents = [int(rng.integers(0, v)) for v in range(1, num_edges + 1)]
-    cycles = {v: [] for v in range(num_edges + 2 - 1)}
-    for e, par in enumerate(parents):
-        cycles[par].append(e)
-        cycles[e + 1].append(e)
-    for cyc in cycles.values():
-        rng.shuffle(cyc)
-    exc = None
-    if allow_exceptional and rng.integers(0, 2):
-        exc = (int(rng.integers(0, num_edges + 1)), int(rng.integers(2, 5)))
-    return BrauerTree(sorted(cycles.items()), exceptional=exc)

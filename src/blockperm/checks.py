@@ -393,11 +393,11 @@ def _check_block_properties(rep, ctx, seed, gspec, fspec, principal):
                [x.module.dim for x in small
                 if modules.is_projective(x.module)], [])
     registry = modules.SimpleRegistry(ga.field)
-    ell = len(modules.composition_factor_labels(bsm, registry, seed))
+    allsimple = set(modules.composition_factor_labels(bsm, registry, seed))
+    ell = len(allsimple)
     series = modules.radical_socle_series(spm, registry, seed)
     top = set(series["radical_layers"][0])
     soc = set(series["socle_layers"][-1])
-    allsimple = set(modules.composition_factor_labels(bsm, registry, seed))
     rep.expect("all block simples in top", sorted(top), sorted(allsimple))
     rep.expect("all block simples in socle", sorted(soc), sorted(allsimple))
 

@@ -342,15 +342,17 @@ def module_socle(field, mats, seed=0, simples=None):
     return gfq.echelon(field, np.vstack(rows))
 
 
-def radical_series(field, mats, seed=0):
+def radical_series(field, mats, seed=0, simples=None):
     """Descending chain M > rad M > rad^2 M > ... > 0 as row bases in the
     coordinates of M, plus the Loewy layer factor lists.
 
     Returns (layers, chain) where layers[i] is the list of
-    (simple_mats, multiplicity) in rad^i M / rad^(i+1) M.
+    (simple_mats, multiplicity) in rad^i M / rad^(i+1) M.  simples, when
+    given, are the simples of composition_factors(field, mats, seed).
     """
     n = module_dim(mats)
-    simples = [s for s, _ in composition_factors(field, mats, seed)]
+    if simples is None:
+        simples = [s for s, _ in composition_factors(field, mats, seed)]
     chain = [np.eye(n, dtype=np.int16)]
     layers = []
     cur_mats = mats

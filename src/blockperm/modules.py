@@ -6,6 +6,22 @@ endomorphism algebra: its primitive idempotents cut out the summands, and
 Krull-Schmidt grouping uses the invertible-product test between hom spaces,
 which is exact for indecomposables because their endomorphism rings are
 local.
+
+Each module question is answered once per module content.  decompose,
+endomorphism_algebra, the composition factors behind
+composition_factor_labels, the radical series behind loewy_layers and
+socle_layers, is_isomorphic and vertexweight.vertex_certificate keep their
+answers in a record store on the module's group, keyed by the question,
+the field, the dim, the exact bytes of the action matrices, whatever else
+the answer depends on (the seed; for k[G/H], the subgroup that sends
+hom_modules down its fixed-point route) and, for is_isomorphic, the same
+of the second module.  Keys are exact bytes, so equal keys mean equal
+inputs.  The store lives and dies with its group.  It holds only plain
+data: read-only arrays, ints, bools and subgroup representatives, which do
+not refer to the group.  It never holds a GModule, which would refer back
+to the group and leave a cycle that only a full garbage collection frees;
+callers get fresh GModule, Summand and FinDimAlgebra wrappers around the
+stored arrays.  A SimpleRegistry keeps its own labels by matrix bytes.
 """
 
 import numpy as np
@@ -171,6 +187,42 @@ def _generator_word(group, g):
     return group._wordcache[g.img]
 
 
+def _route(m):
+    """H's generators when hom_modules(m, -) takes the fixed-point route of
+    a k[G/H] module, else None."""
+    if m.induced_from is not None and m.tags is not None:
+        return tuple(g.img for g in m.induced_from.generators)
+    return None
+
+
+def _mats_key(mats):
+    return b"".join(M.tobytes() for M in mats)
+
+
+def _frozen(x):
+    """x as plain data: arrays become read-only copies, lists tuples."""
+    if isinstance(x, np.ndarray):
+        x = x.copy()
+        x.flags.writeable = False
+        return x
+    if isinstance(x, (list, tuple)):
+        return tuple(_frozen(y) for y in x)
+    return x
+
+
+def _recall(m, kind, compute, *args, mats=None):
+    """The answer to question kind (with args) about m, from the record
+    store of m's group; compute() gives it on the first ask.  mats, when
+    given, stand for m's matrices in the key (socle_layers asks about the
+    transposes)."""
+    mats = m.mats if mats is None else mats
+    key = (kind, m.field, m.dim, _route(m), _mats_key(mats)) + args
+    store = m.group._records
+    if key not in store:
+        store[key] = _frozen(compute())
+    return store[key]
+
+
 # ---------------------------------------------------------------------------
 # hom spaces and endomorphism algebras
 
@@ -222,6 +274,12 @@ def endomorphism_algebra(m):
     that each lies in the span of the basis, are read off the RREF of the
     flattened basis at once.
     """
+    mult, one, basis = _recall(m, "end", lambda: _endomorphism_algebra(m))
+    return FinDimAlgebra(m.field, mult, one), list(basis)
+
+
+def _endomorphism_algebra(m):
+    """endomorphism_algebra's answer as (mult, one, basis)."""
     F = m.field
     basis = hom_modules(m, m)
     r = len(basis)
@@ -244,8 +302,7 @@ def endomorphism_algebra(m):
         prods = F.matmul(basis[i], side).reshape(d, r, d)
         mult[i] = coords(prods.transpose(1, 0, 2).reshape(r, d * d))
     one = coords(np.eye(d, dtype=np.int16).reshape(1, d * d))[0]
-    alg = FinDimAlgebra(F, mult, one)
-    return alg, basis
+    return mult, one, basis
 
 
 class Summand:
@@ -267,6 +324,16 @@ def decompose(m, seed=0):
 
     Returns a list of Summand objects; certifying idempotents are the images
     of the primitive idempotents of End(m)."""
+    record = _recall(m, "decompose", lambda: [
+        (x.module.mats, x.multiplicity, x.embeddings, x.idempotents)
+        for x in _decompose(m, seed)], seed)
+    return [Summand(GModule(m.group, m.field, mats, dim=emb[0].shape[0]),
+                    mult, list(emb), list(idems))
+            for mats, mult, emb, idems in record]
+
+
+def _decompose(m, seed):
+    """decompose without the record store."""
     F = m.field
     if m.dim == 0:
         return []
@@ -309,6 +376,13 @@ def is_isomorphic(m, n, seed=0):
     """Module isomorphism via full decompositions (works for decomposables)."""
     if m.dim != n.dim:
         return False
+    if m.group is not n.group or m.field is not n.field:
+        return _is_isomorphic(m, n, seed)
+    return _recall(m, "iso", lambda: _is_isomorphic(m, n, seed), seed,
+                   _route(n), _mats_key(n.mats))
+
+
+def _is_isomorphic(m, n, seed):
     dm = decompose(m, seed)
     dn = decompose(n, seed)
     if len(dm) != len(dn):
@@ -343,9 +417,18 @@ class SimpleRegistry:
     def __init__(self, field):
         self.field = field
         self.entries = []  # (mats, label)
+        # label by matrix bytes: entries only grow, so equal matrices get
+        # the label they got first
+        self._labels = {}
 
     def label(self, mats):
         d = meataxe.module_dim(mats)
+        key = (d, _mats_key(mats))
+        if key not in self._labels:
+            self._labels[key] = self._find_label(mats, d)
+        return self._labels[key]
+
+    def _find_label(self, mats, d):
         same_dim = 0
         for known, lab in self.entries:
             if meataxe.module_dim(known) == d:
@@ -357,12 +440,27 @@ class SimpleRegistry:
         return lab
 
 
+def _factors(m, seed, mats):
+    """composition_factors of mats, m's matrices or their transposes."""
+    return _recall(m, "factors",
+                   lambda: meataxe.composition_factors(m.field, mats, seed),
+                   seed, mats=mats)
+
+
+def _radical_layers(m, seed, mats):
+    """The layers of radical_series of mats, m's matrices or their
+    transposes."""
+    def compute():
+        simples = [s for s, _ in _factors(m, seed, mats)]
+        return meataxe.radical_series(m.field, mats, seed, simples)[0]
+    return _recall(m, "layers", compute, seed, mats=mats)
+
+
 def loewy_layers(m, registry=None, seed=0):
     """Radical layers of m as sorted lists of simple labels (with repeats)."""
     registry = registry or SimpleRegistry(m.field)
-    layers, _chain = meataxe.radical_series(m.field, m.mats, seed=seed)
     out = []
-    for layer in layers:
+    for layer in _radical_layers(m, seed, m.mats):
         labs = []
         for s, mult in layer:
             labs.extend([registry.label(s)] * mult)
@@ -374,10 +472,8 @@ def socle_layers(m, registry=None, seed=0):
     """Socle series layers, via the radical series of the dual: the labels
     are of the dual simples' duals, computed directly on duals."""
     registry = registry or SimpleRegistry(m.field)
-    layers, _ = meataxe.radical_series(m.field,
-                                       [M.T for M in m.mats], seed=seed)
     out = []
-    for layer in layers:
+    for layer in _radical_layers(m, seed, [M.T for M in m.mats]):
         labs = []
         for s, mult in layer:
             labs.extend([registry.label([M.T.copy() for M in s])] * mult)
@@ -388,20 +484,9 @@ def socle_layers(m, registry=None, seed=0):
 def composition_factor_labels(m, registry=None, seed=0):
     registry = registry or SimpleRegistry(m.field)
     out = {}
-    for s, mult in meataxe.composition_factors(m.field, m.mats, seed=seed):
+    for s, mult in _factors(m, seed, m.mats):
         out[registry.label(s)] = mult
     return out
-
-
-def meataxe_split(m, seed=0):
-    """One MeatAxe step on m.
-
-    Returns ('irreducible', None) with a Norton-style certificate behind
-    it, or ('split', basis) where basis rows span a proper nonzero
-    submodule."""
-    rng = np.random.default_rng(seed)
-    verdict, basis, _piv = meataxe.split_once(m.field, m.mats, rng)
-    return verdict, basis
 
 
 def radical_socle_series(m, registry=None, seed=0):

@@ -188,6 +188,8 @@ class PermGroup:
         self._keys = None    # sorted lookup keys of the rows of _arr
         self._key_type = np.min_scalar_type(max(degree - 1, 0)) \
             .newbyteorder(">")  # see the module docstring
+        # answers about modules over this group, kept by modules._recall
+        self._records = {}
 
     # -- construction helpers --
 

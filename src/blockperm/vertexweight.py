@@ -101,21 +101,28 @@ def vertex_certificate(m):
 
     The p-subgroup classes are scanned in ascending order; the first class
     relative to which m is projective is the vertex.  Only meaningful for
-    indecomposable m, where the vertex is unique up to conjugacy.
+    indecomposable m, where the vertex is unique up to conjugacy.  The
+    answer is kept in the record store of m's group (see modules).
     """
+    q, witnesses = modules._recall(m, "vertex", lambda: _vertex(m))
+    return VertexCertificate(m, q, list(witnesses))
+
+
+def _vertex(m):
+    """vertex_certificate's answer as (vertex, witnesses)."""
     g = m.group
     p = m.field.p
     classes = g.p_subgroups_up_to_conjugacy(p)
     witnesses = []
     if g.order() % p or modules.is_projective(m):
         witnesses.append((1, True))
-        return VertexCertificate(m, classes[0], witnesses)
+        return classes[0], witnesses
     witnesses.append((1, False))
     for q in classes[1:]:
         ok = is_relatively_projective(m, q)
         witnesses.append((q.order(), ok))
         if ok:
-            return VertexCertificate(m, q, witnesses)
+            return q, witnesses
     raise gfq.CertificateError("no vertex found; Sylow should always work")
 
 

@@ -39,12 +39,27 @@ def test_json_round_trip():
     assert t2.exceptional == t.exceptional
 
 
+def random_tree(rng, num_edges, allow_exceptional=True):
+    """A random Brauer tree with the given number of edges."""
+    parents = [int(rng.integers(0, v)) for v in range(1, num_edges + 1)]
+    cycles = {v: [] for v in range(num_edges + 2 - 1)}
+    for e, par in enumerate(parents):
+        cycles[par].append(e)
+        cycles[e + 1].append(e)
+    for cyc in cycles.values():
+        rng.shuffle(cyc)
+    exc = None
+    if allow_exceptional and rng.integers(0, 2):
+        exc = (int(rng.integers(0, num_edges + 1)), int(rng.integers(2, 5)))
+    return BrauerTree(sorted(cycles.items()), exceptional=exc)
+
+
 def test_rho_sigma_composite_is_transitive():
     """rho∘sigma acts as a single cycle on the edges, for random trees."""
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 9))
-        t = brauertree.random_tree(rng, n)
+        t = random_tree(rng, n)
         rho, sigma = brauertree.rho_sigma(t)
         cur = 0
         seen = set()

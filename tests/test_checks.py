@@ -114,3 +114,15 @@ def test_registry_checks_run_under_python_O(failure_kinds_under_O):
             blocks=lambda seed=0: [])
         print(kind(lambda: ctx.principal_block("g", "f")))
         """) == ["value", "cert"]
+
+
+def test_shared_context_reports_match_fresh_runs():
+    """Module records live on the context's groups, so a check run after
+    another seed's run on one Context reads them; its canonical report
+    still equals a fresh single-check run's."""
+    shared = checks.Context()
+    for seed in (0, 1):
+        for cid in ("thm-1.2-4-a4p3", "thm-1.10-a5"):
+            got = checks.run_check(cid, seed=seed, ctx=shared)
+            fresh = checks.run_check(cid, seed=seed, ctx=checks.Context())
+            assert checks.suite_json([got]) == checks.suite_json([fresh])

@@ -1,9 +1,15 @@
+import gc
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from blockperm import gfq, modules
+from blockperm import gfq, modules, vertexweight
 from blockperm.modules import GModule, SimpleRegistry
 from blockperm.permgrp import PermGroup
 
@@ -130,15 +136,6 @@ def test_is_projective():
     assert not modules.is_projective(triv)
 
 
-def test_meataxe_split_wrapper():
-    F = gfq.GF.get(2)
-    g = PermGroup.cyclic(4)
-    m = GModule.permutation(g, g.trivial_subgroup(), F)
-    verdict, basis = modules.meataxe_split(m, seed=0)
-    assert verdict == "split"
-    assert basis is not None
-
-
 def test_decomposition_report_shape():
     F = gfq.GF.get(3)
     g = PermGroup.symmetric(4)
@@ -243,3 +240,100 @@ def test_is_projective_does_not_depend_on_the_sylow_subgroup(n, p):
     m = GModule.permutation(g, g.sylow_subgroup(p), F)
     for x in modules.decompose(m, seed=0):
         assert modules.is_projective(x.module) == _free_over(x.module, wreath)
+
+
+def _ask_every_recorded_question(g):
+    """decompose, vertex, radical_socle_series and is_isomorphic on two
+    modules over g; returns nothing that refers to g."""
+    F = gfq.GF.get(2)
+    m = GModule.permutation(g, g.sylow_subgroup(3), F)
+    n = GModule(g, F, m.mats)
+    for x in modules.decompose(m, seed=0):
+        vertexweight.vertex(x.module)
+    modules.radical_socle_series(m, seed=0)
+    assert modules.is_isomorphic(m, n, seed=0)
+    assert g._records
+
+
+def test_dropped_group_and_its_records_are_freed_without_collection():
+    """The record store keeps no GModule, so nothing in it refers back to
+    its group: a group dropped by the caller is freed at once, records and
+    all, with the garbage collector off."""
+    def build():
+        g = PermGroup.alternating(4)
+        _ask_every_recorded_question(g)
+        return weakref.ref(g)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert build()() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_blockperm_never_imports_hashlib():
+    """Record keys are exact bytes, compared in full by the dict; hashing
+    them with hashlib would load OpenSSL for nothing.  Importing every
+    blockperm module loads no hashlib (checked in a fresh interpreter,
+    since pytest and this file load it), and no blockperm source imports
+    it inside a function either.  numpy.random still loads hashlib on
+    first use, through secrets and hmac."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    names = sorted(p.stem for p in (src / "blockperm").glob("*.py"))
+    script = "\n".join(["import sys"] + [
+        "import blockperm.%s" % name for name in names] + [
+        "print('hashlib' in sys.modules)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    for path in (src / "blockperm").glob("*.py"):
+        assert "hashlib" not in path.read_text(), path.name
+
+
+def _same_summands(xs, ys):
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.module is not y.module
+        assert x.multiplicity == y.multiplicity
+        for a, b in zip(x.module.mats + x.embeddings + x.idempotents,
+                        y.module.mats + y.embeddings + y.idempotents):
+            assert np.array_equal(a, b)
+
+
+def test_records_are_keyed_by_module_content(monkeypatch):
+    """Equal matrices over one group are one decomposition; the seed, the
+    group object and the k[G/H] route each ask again.  Arrays handed out
+    from a record are read-only."""
+    computed = []
+    real = modules._decompose
+
+    def counting(m, seed):
+        computed.append(seed)
+        return real(m, seed)
+
+    monkeypatch.setattr(modules, "_decompose", counting)
+    F = gfq.GF.get(2)
+    g = PermGroup.alternating(4)
+    perm = GModule.permutation(g, g.sylow_subgroup(3), F)
+    a = GModule(g, F, perm.mats)
+    b = GModule(g, F, [M.copy() for M in perm.mats])
+    da = modules.decompose(a, seed=0)
+    _same_summands(da, modules.decompose(b, seed=0))
+    assert len(computed) == 1
+    modules.decompose(a, seed=1)
+    assert len(computed) == 2
+    other = PermGroup.alternating(4)
+    _same_summands(da, modules.decompose(GModule(other, F, perm.mats), 0))
+    assert len(computed) == 3
+    modules.decompose(perm, seed=0)   # fixed-point route of hom_modules
+    assert len(computed) == 4
+    _end, basis = modules.endomorphism_algebra(a)
+    for arr in (da[0].embeddings[0], da[0].idempotents[0], basis[0]):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
