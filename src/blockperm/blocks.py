@@ -31,7 +31,7 @@ from . import gfq
 from . import meataxe
 from . import polys
 from .algebra import FinDimAlgebra
-from .modules import GModule, coset_map
+from .modules import GModule, coset_maps
 from .permgrp import ResourceCap, orbit_labels
 
 # past this order the n x n echelon work is only viable with the BLAS-backed
@@ -255,13 +255,26 @@ class GroupAlgebra:
     def coset_submodule(self, x, h):
         """kG x[H] inside k[G/H] as (GModule, rows, pivots), for x in kG
         commuting with H.  Then x[H] is H-fixed, and kG x[H] is the image
-        of the endomorphism gH -> g x[H] of k[G/H]."""
+        of the kG-endomorphism E_x: gH -> g x[H] of k[G/H].
+
+        E_x is idempotent when E_x(x[H]) = x[H], as for the block
+        idempotent or a source idempotent; then kG x[H] is a summand of
+        k[G/H], and the module records (k[G/H], rows, pivots) as its
+        ambient, which sends hom_modules out of it down the fixed-point
+        route.  Otherwise (2e, a class sum) no ambient is recorded."""
         F = self.field
         perm, cos = self.cosets(h)
         xbar = F.sum(np.asarray(x, dtype=np.int16)[cos], axis=1)
-        rows, piv = gfq.echelon(F, coset_map(perm, perm, xbar).T)
+        if any(not np.array_equal(xbar[move], xbar)
+               for move in self._coset_moves(h)):
+            raise ValueError("x[H] is not fixed by H")
+        E = coset_maps(perm, perm, xbar[None, :])[0][0]
+        rows, piv = gfq.echelon(F, E.T)
         mats = meataxe.restrict_to_submodule(F, perm.mats, rows, piv)
-        return GModule(self.group, F, mats, dim=len(piv)), rows, piv
+        m = GModule(self.group, F, mats, dim=len(piv))
+        if np.array_equal(F.matmul(E, xbar[:, None])[:, 0], xbar):
+            m.ambient = (perm, rows, piv)
+        return m, rows, piv
 
     def left_mult_on_cosets(self, x, h):
         """Matrix of v -> x v on k[G/H]: column j is x r summed over each
@@ -276,14 +289,21 @@ class GroupAlgebra:
             out[:, coset_of[elts]] = F.sum(x[maps[:, cos]], axis=2).T
         return out
 
+    def _coset_moves(self, h):
+        """For each generator u of H, the map j -> the coset of u r_j on
+        k[G/H]."""
+        _perm, cos = self.cosets(h)
+        coset_of = _coset_of(cos, self.n)
+        reps = self._eltarr[cos[:, 0]]  # row j is the image of r_j
+        return [coset_of[self._lookup_rows(np.array(u.img)[reps])]
+                for u in h.generators]
+
     def double_coset_rank(self, rows, h):
         """Rank of rows (vectors of k[G/H]) summed over each H-orbit of
         cosets, i.e. projected onto k[H\\G/H]: the dimension of the
         H-coinvariants of their span when that is a kH-summand of k[G/H]."""
         _perm, cos = self.cosets(h)
-        coset_of = _coset_of(cos, self.n)
-        moves = [coset_of[self.lmul_index(u)[cos[:, 0]]] for u in h.generators]
-        orbit = orbit_labels(moves, len(cos))
+        orbit = orbit_labels(self._coset_moves(h), len(cos))
         sums = (orbit[:, None] == np.arange(orbit.max() + 1)).astype(np.int16)
         return gfq.rank(self.field, self.field.matmul(rows, sums))
 

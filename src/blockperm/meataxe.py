@@ -179,6 +179,21 @@ def quotient_by_submodule(field, mats, basis, pivots):
     return out, P
 
 
+def greedy_spin(field, mats):
+    """The Spin of the whole module from greedy seeds: each seed is the
+    first unit vector outside the span so far.  hom_space solves for the
+    images of these seeds, so their order fixes the basis it returns,
+    which End(M) and the simple labels in the reports depend on."""
+    dm = module_dim(mats)
+    spin = gfq.Spin(field, mats)
+    while len(spin.raws) < dm:
+        pivset = set(spin.basis.pivots)
+        cand = np.zeros(dm, dtype=np.int16)
+        cand[next(c for c in range(dm) if c not in pivset)] = 1
+        spin.seed(cand)
+    return spin
+
+
 def hom_space(field, mats_m, mats_n):
     """Basis of intertwiners X with X @ A_g == B_g @ X, as a list of
     (dim_n x dim_m) matrices.
@@ -200,15 +215,7 @@ def hom_space(field, mats_m, mats_n):
     dn = module_dim(mats_n)
     if dm == 0 or dn == 0:
         return []
-    # greedy generating set of the source module: each seed is the first
-    # unit vector outside the span so far.  This order fixes the returned
-    # basis, which End(M) and the simple labels in the reports depend on.
-    spin = gfq.Spin(field, mats_m)
-    while len(spin.raws) < dm:
-        pivset = set(spin.basis.pivots)
-        cand = np.zeros(dm, dtype=np.int16)
-        cand[next(c for c in range(dm) if c not in pivset)] = 1
-        spin.seed(cand)
+    spin = greedy_spin(field, mats_m)
     tags, nseeds = spin.tree, spin.nseeds
     tree_edges = {(t[1], t[2]) for t in tags if t[0] == "mul"}
 
@@ -247,6 +254,46 @@ def hom_space(field, mats_m, mats_n):
     P = matmul_rows(field, Phi.reshape(dm * dn, U), sol.T)
     P = P.reshape(dm, dn, r).transpose(2, 1, 0).reshape(r * dn, dm)
     return list(matmul_rows(field, P, Rinv).reshape(r, dn, dm))
+
+
+def hom_basis(field, mats_m, maps):
+    """The basis hom_space(field, mats_m, mats_n) returns, as an (r, dim_n,
+    dim_m) stack, computed from an (s, dim_n, dim_m) stack of maps that
+    spans Hom(mats_m, mats_n).
+
+    hom_space solves for u = (X v_0, X v_1, ...), the images of its greedy
+    seeds v_s = e_{c_s}, and returns the nullspace basis of its
+    constraints: one map per free column c, with u[c] = 1 and u zero at
+    the other free columns.  With the columns of u reversed that basis is
+    in reduced echelon form, which the solution space determines alone.
+    So the u of any spanning set, echeloned with reversed columns and read
+    by ascending free column, gives the same maps, as combinations of the
+    spanning ones."""
+    maps = np.asarray(maps, dtype=np.int16)
+    s, dn, dm = maps.shape
+    if s == 0 or module_dim(mats_m) == 0:
+        return maps[:0]
+    spin = greedy_spin(field, mats_m)
+    seeds = [int(np.argmax(v)) for v, tag in zip(spin.raws, spin.tree)
+             if tag[0] == "seed"]
+    u = maps[:, :, seeds].transpose(0, 2, 1).reshape(s, -1)
+    _R, _piv, T = gfq.echelon(field, u[:, ::-1], transform=True)
+    flat = matmul_rows(field, T[::-1], maps.reshape(s, dn * dm))
+    return flat.reshape(-1, dn, dm)
+
+
+def check_intertwines(field, maps, mats_m, mats_n):
+    """Raise CertificateError unless X A_g == B_g X for every map X of the
+    (r, dim_n, dim_m) stack and every pair (A_g, B_g), checked on chunks of
+    maps with two products per generator."""
+    r, dn, dm = maps.shape
+    step = max(1, CHUNK_ENTRIES // max(dn * dm, 1))
+    for i in range(0, r, step):
+        X = maps[i:i + step]
+        for A, B in zip(mats_m, mats_n):
+            left = field.matmul(X.reshape(-1, dm), A).reshape(X.shape)
+            if not np.array_equal(left, field.matmul(B, X)):
+                raise gfq.CertificateError("map is not a module homomorphism")
 
 
 def fixed_points(field, mats):

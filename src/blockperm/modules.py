@@ -7,6 +7,17 @@ Krull-Schmidt grouping uses the invertible-product test between hom spaces,
 which is exact for indecomposables because their endomorphism rings are
 local.
 
+hom_modules(m, n) takes one of three routes.  Out of k[G/H] from
+GModule.permutation, Frobenius reciprocity gives Hom(k[G/H], n) = n^H,
+and the basis is the maps of a basis of n^H.  Out of a certified
+kG-summand of k[G/H] (m.ambient, recorded by
+GroupAlgebra.coset_submodule: B tensor_kS k and the source permutation
+module), the same maps restricted to m span Hom(m, n), and are put into
+the basis meataxe.hom_space returns.  Out of anything else,
+meataxe.hom_space spins m and solves for the images of its seeds.
+coset_maps fills the maps of all fixed vectors in one walk of the coset
+tree of k[G/H].
+
 Each module question is answered once per module content.  decompose,
 endomorphism_algebra, the composition factors behind
 composition_factor_labels, the radical series behind loewy_layers and
@@ -16,8 +27,11 @@ the field, the dim, the exact bytes of the action matrices, whatever else
 the answer depends on (the seed; for k[G/H], the subgroup that sends
 hom_modules down its fixed-point route) and, for is_isomorphic, the same
 of the second module.  Keys are exact bytes, so equal keys mean equal
-inputs.  The store lives and dies with its group.  It holds only plain
-data: read-only arrays, ints, bools and subgroup representatives, which do
+inputs.  A certified summand needs no route in its key: its hom basis
+is byte-identical to the one hom_space gives on the same matrices, so a
+summand and a plain module with its matrices share their records.  The
+store lives and dies with its group.  It holds only plain data:
+read-only arrays, ints, bools and subgroup representatives, which do
 not refer to the group.  It never holds a GModule, which would refer back
 to the group and leave a cycle that only a full garbage collection frees;
 callers get fresh GModule, Summand and FinDimAlgebra wrappers around the
@@ -39,23 +53,25 @@ class GModule:
         # the gfq kernels take reduced codes; this is where they enter
         self.mats = [field.array(M) for M in mats]
         if len(self.mats) != len(group.generators):
-            raise gfq.CertificateError("%d matrices for %d generators" % (
+            raise ValueError("%d matrices for %d generators" % (
                 len(self.mats), len(group.generators)))
         if self.mats:
             self.dim = self.mats[0].shape[0]
         elif dim is None:
-            raise gfq.CertificateError(
-                "dim is required for generator-free groups")
+            raise ValueError("dim is required for generator-free groups")
         else:
             self.dim = dim
         for M in self.mats:
             if M.shape != (self.dim, self.dim):
-                raise gfq.CertificateError("matrix of shape %r in a %d-dim "
-                                           "module" % (M.shape, self.dim))
+                raise ValueError("matrix of shape %r in a %d-dim module" % (
+                    M.shape, self.dim))
         self.name = name
         self.tags = tags
         self.induced_from = None   # subgroup H when self is k[G/H]
-        self.coset_tree = None     # (reps, parent edges) for that case
+        self.coset_tree = None     # its layers, see _coset_tree
+        # (k[G/H], rows, pivots) when self is a certified kG-summand of
+        # k[G/H] with that RREF basis; see GroupAlgebra.coset_submodule
+        self.ambient = None
         self._repcache = {}
 
     @staticmethod
@@ -80,19 +96,7 @@ class GModule:
                     name="k[%s cosets]" % (subgroup.name or "H"),
                     tags=reps)
         m.induced_from = subgroup
-        # spanning tree: edges (gen, parent) discovered in BFS order
-        parent = {0: None}
-        order = [0]
-        qi = 0
-        while qi < len(order):
-            i = order[qi]
-            qi += 1
-            for s, imgs in enumerate(images):
-                j = imgs[i]
-                if j not in parent:
-                    parent[j] = (s, i)
-                    order.append(j)
-        m.coset_tree = (reps, parent, order)
+        m.coset_tree = _coset_tree(images, n)
         return m
 
     @staticmethod
@@ -167,6 +171,32 @@ class GModule:
             self.dim, self.field, self.group)
 
 
+def _coset_tree(images, n):
+    """Breadth-first spanning tree of the n cosets from H (coset 0), as a
+    list of layers (cosets, gens, parents): cosets[k] is generator
+    gens[k] times the coset at position parents[k] of the layer before."""
+    seen = {0}
+    front = [0]
+    layers = []
+    while front:
+        cosets, gens, parents = [], [], []
+        for s, imgs in enumerate(images):
+            for k, i in enumerate(front):
+                j = imgs[i]
+                if j not in seen:
+                    seen.add(j)
+                    cosets.append(j)
+                    gens.append(s)
+                    parents.append(k)
+        if cosets:
+            layers.append(tuple(np.array(x, dtype=np.intp)
+                                for x in (cosets, gens, parents)))
+        front = cosets
+    if len(seen) != n:
+        raise gfq.CertificateError("the coset tree misses a coset")
+    return layers
+
+
 def _generator_word(group, g):
     """g as a product of generators, leftmost applied last."""
     if not hasattr(group, "_wordcache"):
@@ -230,39 +260,90 @@ def _recall(m, kind, compute, *args, mats=None):
 def hom_modules(m, n):
     """Basis of Hom_kG(m, n) as matrices X with X rho_m(g) = rho_n(g) X.
 
-    For m = k[G/H] this uses the fixed-point description: intertwiners
-    correspond to H-fixed vectors of n, with X sending the coset gH to
-    rho_n(g)u.  Otherwise the spinning solver runs on the source module.
+    By Frobenius reciprocity Hom(k[G/H], n) is n^H: the map of an H-fixed
+    vector u sends the coset gH to rho_n(g) u.  So when m is k[G/H] from
+    GModule.permutation, the basis is the maps of a basis of n^H.  When m
+    is a certified summand of k[G/H] (m.ambient, set by
+    GroupAlgebra.coset_submodule), restriction from k[G/H] onto m is
+    onto, so the same maps restricted to m span Hom(m, n); they are put
+    into the basis meataxe.hom_space returns and certified to intertwine.
+    Otherwise the spinning solver meataxe.hom_space runs on m.
     """
     F = m.field
     if F is not n.field or m.group is not n.group:
-        raise gfq.CertificateError("modules over different fields or groups")
+        raise ValueError("modules over different fields or groups")
     if m.induced_from is not None and m.tags is not None:
-        h = m.induced_from
-        hm = [n.rep_of(s) for s in h.generators]
-        fixed = meataxe.fixed_points(F, hm) if hm else \
-            np.eye(n.dim, dtype=np.int16)
-        return [coset_map(m, n, u) for u in fixed]
-    return meataxe.hom_space(F, m.mats, n.mats)
+        return [X for stack in coset_maps(m, n, _fixed_vectors(
+            m.induced_from, n)) for X in stack]
+    if m.ambient is None:
+        return meataxe.hom_space(F, m.mats, n.mats)
+    perm, rows, _piv = m.ambient
+    U = _fixed_vectors(perm.induced_from, n)
+    if not len(U):
+        return []
+    # restrict to m, whose basis vectors are the rows of rows in k[G/H]
+    on_m = np.vstack([meataxe.matmul_rows(F, X.reshape(-1, perm.dim), rows.T)
+                      for X in coset_maps(perm, n, U)])
+    basis = meataxe.hom_basis(F, m.mats,
+                              on_m.reshape(len(U), n.dim, m.dim))
+    meataxe.check_intertwines(F, basis, m.mats, n.mats)
+    return list(basis)
 
 
-def coset_map(m, n, u):
-    """The kG-map k[G/H] -> n sending the coset H to the H-fixed vector u.
+def _fixed_vectors(h, n):
+    """Row basis of the H-fixed vectors of n."""
+    hm = [n.rep_of(s) for s in h.generators]
+    if not hm:
+        return np.eye(n.dim, dtype=np.int16)
+    return meataxe.fixed_points(n.field, hm)
 
-    m is a permutation module from GModule.permutation; column j of the
-    result is g u for any g in the j-th coset, filled along m's coset tree.
-    """
-    F = m.field
-    X = np.zeros((n.dim, m.dim), dtype=np.int16)
-    X[:, 0] = u
-    _reps, parent, order = m.coset_tree
-    for j in order[1:]:
-        s, par = parent[j]
-        if n.tags is not None:  # permutation basis: M v only moves entries
-            X[n.perm_images()[s], j] = X[:, par]
+
+def coset_maps(perm, n, U):
+    """The kG-maps k[G/H] -> n sending the coset H to the H-fixed vectors
+    in the rows of U: column j of a map is g u for any g in the j-th coset.
+    Returned in order as a list of (k, n.dim, perm.dim) stacks of about
+    meataxe.CHUNK_ENTRIES entries, or of one map.
+
+    perm is a permutation module from GModule.permutation; one walk of its
+    coset tree, layer by layer, fills all maps.  When n lies in a
+    permutation module k[G/K] (a permutation basis, or a certified
+    summand), g u is the lift of u to k[G/K] permuted by g and read at n's
+    pivots: the walk keeps the maps y -> g^-1 y of one layer and gathers.
+    Otherwise each step is one product with a generator's matrix for all
+    the maps of a stack.  Temporaries are no larger than a stack.  The
+    stacks are separate allocations: one block for all maps (10 MiB for
+    the 88 maps of a Hom between two k[S_6/C_3]) raised the peak RSS of
+    the perm-modules benchmark by about 1 MiB."""
+    F = perm.field
+    U = np.asarray(U, dtype=np.int16)
+    step = max(1, meataxe.CHUNK_ENTRIES // max(n.dim * perm.dim, 1))
+    chunks = [slice(i, i + step) for i in range(0, len(U), step)]
+    stacks = [np.empty((len(U[c]), n.dim, perm.dim), dtype=np.int16)
+              for c in chunks]
+    for c, X in zip(chunks, stacks):
+        X[:, :, 0] = U[c]
+    lift = n.tags is not None or n.ambient is not None
+    if lift:
+        amb, rows, piv = (n, None, None) if n.tags is not None else n.ambient
+        sinv = np.array([np.argsort(img) for img in amb.perm_images()],
+                        dtype=np.int32).reshape(-1, amb.dim)
+        flat = U if rows is None else F.matmul(U, rows)
+        inv = np.arange(amb.dim, dtype=np.int32)[None, :]
+    prev = np.zeros(1, dtype=np.intp)
+    for cosets, gens, parents in perm.coset_tree:
+        if lift:
+            # (g u)[y] = u[g^-1 y], and (s g)^-1 = g^-1 s^-1
+            inv = inv[parents[:, None], sinv[gens]]
+            at = inv if piv is None else inv[:, piv]
+            for c, X in zip(chunks, stacks):
+                X[:, :, cosets] = flat[c][:, at].transpose(0, 2, 1)
         else:
-            X[:, j] = F.matmul(n.mats[s], X[:, par][:, None])[:, 0]
-    return X
+            for s in np.unique(gens):
+                src, dst = prev[parents[gens == s]], cosets[gens == s]
+                for X in stacks:
+                    X[:, :, dst] = F.matmul(n.mats[s], X[:, :, src])
+        prev = cosets
+    return stacks
 
 
 def endomorphism_algebra(m):

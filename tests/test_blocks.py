@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockperm import blocks, gfq, meataxe, modules
 from blockperm.permgrp import Perm, PermGroup, ResourceCap, parse_group
@@ -296,8 +297,9 @@ def test_blocks_keep_identity_and_cached_results():
 
 
 def test_block_input_checks_raise_value_error():
-    """A subgroup that is not Sylow, and an element that P-conjugation
-    moves, are bad input, refused with ValueError (not an assert)."""
+    """A subgroup that is not Sylow, an element that P-conjugation moves,
+    and an x with x[H] not H-fixed are bad input, refused with ValueError
+    (not an assert)."""
     g = parse_group("sym:3")
     ga = blocks.GroupAlgebra(g, gfq.GF.get(3))
     principal = ga.blocks(seed=0)[0]
@@ -308,6 +310,12 @@ def test_block_input_checks_raise_value_error():
     x[[i for i, e in enumerate(ga.elems) if e.order() == 2][0]] = 1
     with pytest.raises(ValueError, match="not fixed under P-conjugation"):
         blocks.brauer_hom(ga, x, c3)
+    # a transposition moves the cosets of a non-normal C_3 in S_4
+    ga = blocks.GroupAlgebra(parse_group("sym:4"), gfq.GF.get(3))
+    x = np.zeros(ga.n, dtype=np.int16)
+    x[ga.group.index_of(Perm([0, 1, 3, 2]))] = 1
+    with pytest.raises(ValueError, match="not fixed by H"):
+        ga.coset_submodule(x, ga.group.subgroup([Perm([1, 2, 0, 3])]))
 
 
 # -- products on index maps against the stored |G| x |G| table they replace --
@@ -447,3 +455,201 @@ def test_no_group_by_group_table_is_kept():
     assert len(arrays) > 20
     for a in arrays:
         assert sum(1 for k in np.shape(a) if k >= n) < 2, np.shape(a)
+
+
+# -- hom_modules out of certified summands of k[G/H] --
+
+
+def _same_bytes(xs, ys):
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def _summands_and_targets(ga):
+    """(summands, targets): B (x)_S k of every block and the source
+    permutation module of every block of nontrivial defect, and those
+    plus k[G/S] and a plain-basis copy of the principal B (x)_S k."""
+    sylow = ga.group.sylow_subgroup(ga.field.p)
+    summands = []
+    for b in ga.blocks(seed=0):
+        summands.append(b.block_sylow_module(sylow))
+        if b.defect_group().order() > 1:
+            summands.append(b.source_permutation_module(b.defect_group(),
+                                                        seed=0))
+    plain = modules.GModule(ga.group, ga.field, summands[0].mats)
+    perm = modules.GModule.permutation(ga.group, sylow, ga.field)
+    return summands, summands + [perm, plain]
+
+
+@pytest.mark.parametrize("gspec,fspec", [
+    ("sym:4", "2"), ("sym:4", "3"), ("sym:5", "5"), ("alt:4", "2^2"),
+    ("alt:5", "3"), ("alt:5", "2^2")])
+def test_hom_out_of_a_summand_is_hom_space_byte_for_byte(gspec, fspec):
+    """Out of a certified summand, hom_modules takes the fixed-point route
+    and returns the very basis meataxe.hom_space returns."""
+    ga = blocks.GroupAlgebra(parse_group(gspec), gfq.GF.parse(fspec))
+    summands, targets = _summands_and_targets(ga)
+    for m in summands:
+        assert m.ambient is not None
+        for n in targets:
+            _same_bytes(modules.hom_modules(m, n),
+                        meataxe.hom_space(ga.field, m.mats, n.mats))
+
+
+# the field shapes of tests/test_properties.py
+_FIELDS = [gfq.GF.get(p, e) for p, e in
+           [(2, 1), (7, 1), (251, 1), (2, 2), (2, 8), (3, 5), (5, 3), (13, 2)]]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(_FIELDS), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 3))
+def test_hom_basis_recovers_hom_space_from_any_spanning_set(F, seed, extra):
+    """Random combinations of hom_space's basis that span Hom, extra of
+    them dependent, go back to that basis byte for byte, over the fields
+    of the property tests."""
+    rng = np.random.default_rng(seed)
+    g = PermGroup.symmetric(4)
+    m = modules.GModule.permutation(g, g.sylow_subgroup(2), F)
+    n = modules.GModule.permutation(g, g.subgroup([g.generators[0]]), F)
+    ref = np.array(meataxe.hom_space(F, m.mats, n.mats))
+    r = len(ref)
+    while True:
+        C = rng.integers(0, F.q, (r + extra, r)).astype(np.int16)
+        if gfq.rank(F, C) == r:
+            break
+    mixed = F.matmul(C, ref.reshape(r, -1)).reshape((r + extra,)
+                                                    + ref.shape[1:])
+    _same_bytes(meataxe.hom_basis(F, m.mats, mixed), ref)
+
+
+def test_non_idempotent_x_gets_no_ambient_and_falls_back(monkeypatch):
+    """E_x is certified idempotent before kG x[H] counts as a summand:
+    for 2e and for a class sum it is not, so no ambient is recorded and
+    hom_modules runs hom_space, with the same result as out of the
+    summand for e."""
+    ga = blocks.GroupAlgebra(parse_group("sym:4"), gfq.GF.get(3))
+    sylow = ga.group.sylow_subgroup(3)
+    b = ga.blocks(seed=0)[0]
+    summand, rows, _piv = ga.coset_submodule(b.evec, sylow)
+    assert summand.ambient is not None
+    _class_of, lists = ga.conjugacy_classes()
+    klass = np.zeros(ga.n, dtype=np.int16)
+    klass[lists[1]] = 1
+    calls = []
+    real = meataxe.hom_space
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(meataxe, "hom_space", counting)
+    double, drows, _piv = ga.coset_submodule(ga.field.add(b.evec, b.evec),
+                                              sylow)
+    other = ga.coset_submodule(klass, sylow)[0]
+    assert double.ambient is None and other.ambient is None
+    homs = modules.hom_modules(double, double)
+    modules.hom_modules(other, other)
+    assert len(calls) == 2
+    # 2e spans what e spans
+    assert np.array_equal(drows, rows)
+    _same_bytes(homs, modules.hom_modules(summand, summand))
+    assert len(calls) == 2
+
+
+def test_corrupted_route_map_raises_under_O(failure_kinds_under_O):
+    """The intertwining certificate of the fixed-point route is not an
+    assert: a fixed-point map corrupted on its way out of coset_maps is
+    caught under python -O."""
+    assert failure_kinds_under_O("""
+        import numpy as np
+        from blockperm import blocks, modules
+        from blockperm.permgrp import parse_group
+
+        ga = blocks.GroupAlgebra(parse_group("sym:4"), gfq.GF.get(3))
+        m = ga.blocks(seed=0)[0].block_sylow_module(
+            ga.group.sylow_subgroup(3))
+        real = modules.coset_maps
+        print(kind(lambda: modules.hom_modules(m, m)))
+
+        def corrupted(perm, n, U):
+            stacks = real(perm, n, U)
+            X = stacks[0][0]
+            X[:] = np.random.default_rng(0).integers(0, 3, X.shape)
+            return stacks
+
+        modules.coset_maps = corrupted
+        print(kind(lambda: modules.hom_modules(m, m)))
+        """) == ["none", "cert"]
+
+
+def test_summand_and_plain_module_share_one_structure(monkeypatch):
+    """A summand and a plain GModule with its matrices take different
+    hom_modules routes to byte-identical End(M), so one record serves
+    both: one _decompose between them."""
+    ga = blocks.GroupAlgebra(parse_group("sym:5"), gfq.GF.get(5))
+    m = ga.blocks(seed=0)[0].block_sylow_module(ga.group.sylow_subgroup(5))
+    plain = modules.GModule(ga.group, ga.field, m.mats)
+    assert m.ambient is not None and plain.ambient is None
+    mult, one, basis = modules._endomorphism_algebra(m)
+    pmult, pone, pbasis = modules._endomorphism_algebra(plain)
+    _same_bytes([mult, one] + basis, [pmult, pone] + pbasis)
+    computed = []
+    real = modules._decompose
+
+    def counting(mod, seed):
+        computed.append(mod)
+        return real(mod, seed)
+
+    monkeypatch.setattr(modules, "_decompose", counting)
+    modules.decompose(m, seed=0)
+    modules.decompose(plain, seed=0)
+    assert len(computed) == 1
+
+
+def _reference_coset_map(m, n, u):
+    """The map k[G/H] -> n of one H-fixed u, one coset at a time along a
+    breadth-first tree: a scatter on a permutation basis, else a matvec."""
+    F = m.field
+    imgs = m.perm_images()
+    parent, order = {0: None}, [0]
+    for i in order:
+        for s, img in enumerate(imgs):
+            j = int(img[i])
+            if j not in parent:
+                parent[j] = (s, i)
+                order.append(j)
+    X = np.zeros((n.dim, m.dim), dtype=np.int16)
+    X[:, 0] = u
+    for j in order[1:]:
+        s, par = parent[j]
+        if n.tags is not None:
+            X[n.perm_images()[s], j] = X[:, par]
+        else:
+            X[:, j] = F.matmul(n.mats[s], X[:, par][:, None])[:, 0]
+    return X
+
+
+@pytest.mark.parametrize("chunk", [meataxe.CHUNK_ENTRIES, 5])
+@pytest.mark.parametrize("gspec,fspec", [("sym:4", "3"), ("alt:5", "2^2")])
+def test_coset_maps_match_the_per_vector_loop(monkeypatch, chunk, gspec,
+                                              fspec):
+    """coset_maps walks once for all vectors, by gathers into permutation
+    modules and summands and by products elsewhere; each map is the one
+    the old per-vector loop built."""
+    monkeypatch.setattr(meataxe, "CHUNK_ENTRIES", chunk)
+    ga = blocks.GroupAlgebra(parse_group(gspec), gfq.GF.parse(fspec))
+    g, F = ga.group, ga.field
+    summands, _targets = _summands_and_targets(ga)
+    perm = modules.GModule.permutation(g, g.sylow_subgroup(F.p), F)
+    plain = modules.GModule(g, F, summands[0].mats)
+    for h in (g.sylow_subgroup(F.p), g.subgroup([g.generators[0]])):
+        src = modules.GModule.permutation(g, h, F)
+        for n in [perm, plain] + summands:
+            U = modules._fixed_vectors(h, n)
+            X = np.concatenate(modules.coset_maps(src, n, U))
+            assert X.shape == (len(U), n.dim, src.dim)
+            for x, u in zip(X, U):
+                assert np.array_equal(x, _reference_coset_map(src, n, u))

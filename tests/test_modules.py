@@ -220,6 +220,38 @@ def test_gmodule_takes_reduced_codes():
         GModule(g, gfq.GF.get(2, 2), [np.array([[0, 4], [1, 0]])])
 
 
+def _bad_input(case):
+    """A call on bad input, by case name, and the ValueError it gives."""
+    F = gfq.GF.get(3)
+    g = PermGroup.symmetric(3)
+    m = GModule.permutation(g, g.sylow_subgroup(2), F)
+    other = PermGroup.symmetric(3)
+    return {
+        "matrix-count": (lambda: GModule(g, F, m.mats[:1]),
+                         "2 generators"),
+        "missing-dim": (lambda: GModule(PermGroup(3, []), F, []),
+                        "dim is required"),
+        "matrix-shape": (lambda: GModule(g, F, [m.mats[0],
+                                                np.eye(2, dtype=np.int16)]),
+                         "shape"),
+        "other-group": (lambda: modules.hom_modules(m, GModule.permutation(
+            other, other.sylow_subgroup(2), F)), "different"),
+        "other-field": (lambda: modules.hom_modules(m, GModule.permutation(
+            g, g.sylow_subgroup(2), gfq.GF.get(5))), "different"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["matrix-count", "missing-dim",
+                                  "matrix-shape", "other-group",
+                                  "other-field"])
+def test_bad_module_input_raises_value_error(case):
+    """Bad input to a GModule or to hom_modules is a ValueError (exit 2),
+    not a failed certificate."""
+    call, message = _bad_input(case)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _free_over(m, s):
     """The freeness test of is_projective over a given Sylow subgroup."""
     F = m.field
