@@ -227,6 +227,30 @@ class FinDimAlgebra:
                                                "%d are not orthogonal" % (i, j))
         return out
 
+    def equivalent_idempotents(self, e, f):
+        """For primitive idempotents e, f: whether eA and fA are isomorphic,
+        i.e. whether e lies in the span of the products (eAf)(fAe).
+
+        An isomorphism fA -> eA is left multiplication by some a in eAf
+        with inverse b in fAe, so ab = e.  Conversely the span is an ideal
+        of the local ring eAe; holding e, it is not inside rad(eAe), so
+        some ab is a unit u of eAe.  Then a (b u^-1) = e, and (b u^-1) a
+        is a nonzero idempotent of the local ring fAf, so it is f."""
+        F = self.field
+        e = np.asarray(e, dtype=np.int16)
+
+        def corner(x, y):
+            # a row basis of xAy, from the x b_k y over the basis b_k
+            return gfq.echelon(F, F.matmul(self.rmul_of(y),
+                                           self.lmul_of(x)).T)[0]
+
+        eaf, fae = corner(e, f), corner(f, e)
+        if not len(eaf) or not len(fae):
+            return False
+        prods = _products(F, self.mult, eaf, fae).reshape(-1, self.dim)
+        return gfq.rank(F, np.vstack([prods, e[None, :]])) == \
+            gfq.rank(F, prods)
+
     def central_primitive_idempotents(self, seed=0):
         Z, rows, piv = self.center()
         prims = Z.primitive_idempotents(seed=seed)

@@ -194,9 +194,16 @@ def greedy_spin(field, mats):
     return spin
 
 
-def hom_space(field, mats_m, mats_n):
+def seed_columns(spin):
+    """The columns c of the unit vectors e_c that greedy_spin seeded."""
+    return [int(np.argmax(v)) for v, tag in zip(spin.raws, spin.tree)
+            if tag[0] == "seed"]
+
+
+def hom_space(field, mats_m, mats_n, spin=None):
     """Basis of intertwiners X with X @ A_g == B_g @ X, as a list of
-    (dim_n x dim_m) matrices.
+    (dim_n x dim_m) matrices.  spin, when given, is greedy_spin(field,
+    mats_m), made already by the caller.
 
     Spins the source module from few generating vectors v_j; the unknowns
     are only the images u of the seeds, so the linear system stays small
@@ -215,7 +222,8 @@ def hom_space(field, mats_m, mats_n):
     dn = module_dim(mats_n)
     if dm == 0 or dn == 0:
         return []
-    spin = greedy_spin(field, mats_m)
+    if spin is None:
+        spin = greedy_spin(field, mats_m)
     tags, nseeds = spin.tree, spin.nseeds
     tree_edges = {(t[1], t[2]) for t in tags if t[0] == "mul"}
 
@@ -256,10 +264,11 @@ def hom_space(field, mats_m, mats_n):
     return list(matmul_rows(field, P, Rinv).reshape(r, dn, dm))
 
 
-def hom_basis(field, mats_m, maps):
+def hom_basis(field, mats_m, maps, seeds=None):
     """The basis hom_space(field, mats_m, mats_n) returns, as an (r, dim_n,
     dim_m) stack, computed from an (s, dim_n, dim_m) stack of maps that
-    spans Hom(mats_m, mats_n).
+    spans Hom(mats_m, mats_n).  seeds, when given, are the seed_columns of
+    greedy_spin(field, mats_m).
 
     hom_space solves for u = (X v_0, X v_1, ...), the images of its greedy
     seeds v_s = e_{c_s}, and returns the nullspace basis of its
@@ -268,14 +277,18 @@ def hom_basis(field, mats_m, maps):
     in reduced echelon form, which the solution space determines alone.
     So the u of any spanning set, echeloned with reversed columns and read
     by ascending free column, gives the same maps, as combinations of the
-    spanning ones."""
+    spanning ones.
+
+    The seeds generate the module, so a map is fixed by its columns at
+    them: X -> X[:, seeds] is one to one on Hom.  In the returned basis
+    those columns are reduced echelon (reversed), and End(M) reads its
+    structure constants off them (modules.endomorphism_algebra)."""
     maps = np.asarray(maps, dtype=np.int16)
     s, dn, dm = maps.shape
     if s == 0 or module_dim(mats_m) == 0:
         return maps[:0]
-    spin = greedy_spin(field, mats_m)
-    seeds = [int(np.argmax(v)) for v, tag in zip(spin.raws, spin.tree)
-             if tag[0] == "seed"]
+    if seeds is None:
+        seeds = seed_columns(greedy_spin(field, mats_m))
     u = maps[:, :, seeds].transpose(0, 2, 1).reshape(s, -1)
     _R, _piv, T = gfq.echelon(field, u[:, ::-1], transform=True)
     flat = matmul_rows(field, T[::-1], maps.reshape(s, dn * dm))
@@ -312,24 +325,21 @@ def is_isomorphic_simple(field, mats_m, mats_n):
 
 
 def iso_of_indecomposables(field, mats_m, mats_n):
-    """For indecomposable modules: an isomorphism matrix or None.
+    """For M indecomposable: the first invertible map of hom_space(M, N),
+    an isomorphism, or None when M and N are not isomorphic.
 
-    Valid because End(M) is local: if M and N are isomorphic then some
-    product of hom-basis elements in the two directions falls outside the
-    radical of End(M), i.e. is invertible.
+    One hom space is enough.  If phi: M -> N is an isomorphism then
+    Hom(M, N) = phi End(M), so the basis h_k = phi a_k for a basis a_k of
+    End(M).  End(M) is local, and a basis of it cannot lie in its
+    radical, a proper subspace; so some a_k is a unit and h_k is
+    invertible.  If M and N are not isomorphic, no map between them is.
     """
     dm, dn = module_dim(mats_m), module_dim(mats_n)
     if dm != dn:
         return None
-    H = hom_space(field, mats_m, mats_n)
-    if not H:
-        return None
-    Hback = hom_space(field, mats_n, mats_m)
-    for h in H:
-        for hb in Hback:
-            prod = field.matmul(h, hb)  # N -> N
-            if gfq.rank(field, prod) == dn:
-                return h
+    for h in hom_space(field, mats_m, mats_n):
+        if gfq.rank(field, h) == dn:
+            return h
     return None
 
 

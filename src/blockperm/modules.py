@@ -2,10 +2,12 @@
 
 A GModule is a representation of a PermGroup by matrices over GF(p^e), one
 matrix per group generator.  Indecomposable decomposition goes through the
-endomorphism algebra: its primitive idempotents cut out the summands, and
-Krull-Schmidt grouping uses the invertible-product test between hom spaces,
-which is exact for indecomposables because their endomorphism rings are
-local.
+endomorphism algebra E = End(M): its primitive idempotents e cut out the
+summands eM, and eM and fM are isomorphic exactly when e and f are
+equivalent idempotents of E, a rank test on E's structure constants.
+Those structure constants are read off the images of seeds that
+generate M (r x d.s numbers for an r-dim E, a d-dim M and s seeds),
+since a homomorphism is fixed by where it sends generators.
 
 hom_modules(m, n) takes one of three routes.  Out of k[G/H] from
 GModule.permutation, Frobenius reciprocity gives Hom(k[G/H], n) = n^H,
@@ -43,7 +45,6 @@ import numpy as np
 from . import gfq
 from . import meataxe
 from .algebra import FinDimAlgebra
-from .permgrp import Perm
 
 
 class GModule:
@@ -107,7 +108,7 @@ class GModule:
         """Matrix of an arbitrary group element, via a generator word."""
         if g.img in self._repcache:
             return self._repcache[g.img]
-        word = _generator_word(self.group, g)
+        word = self.group.generator_word(g)
         if self.tags is not None:
             # permutation basis: compose index maps instead of matrices
             img = np.arange(self.dim)
@@ -197,26 +198,6 @@ def _coset_tree(images, n):
     return layers
 
 
-def _generator_word(group, g):
-    """g as a product of generators, leftmost applied last."""
-    if not hasattr(group, "_wordcache"):
-        group._wordcache = None
-    if group._wordcache is None:
-        words = {Perm.identity(group.degree).img: ()}
-        frontier = [Perm.identity(group.degree)]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s, gen in enumerate(group.generators):
-                    y = gen * x
-                    if y.img not in words:
-                        words[y.img] = (s,) + words[x.img]
-                        nxt.append(y)
-            frontier = nxt
-        group._wordcache = words
-    return group._wordcache[g.img]
-
-
 def _route(m):
     """H's generators when hom_modules(m, -) takes the fixed-point route of
     a k[G/H] module, else None."""
@@ -257,8 +238,10 @@ def _recall(m, kind, compute, *args, mats=None):
 # hom spaces and endomorphism algebras
 
 
-def hom_modules(m, n):
+def hom_modules(m, n, spin=None):
     """Basis of Hom_kG(m, n) as matrices X with X rho_m(g) = rho_n(g) X.
+    spin, when given, is meataxe.greedy_spin(m.field, m.mats), made
+    already by the caller.
 
     By Frobenius reciprocity Hom(k[G/H], n) is n^H: the map of an H-fixed
     vector u sends the coset gH to rho_n(g) u.  So when m is k[G/H] from
@@ -276,7 +259,7 @@ def hom_modules(m, n):
         return [X for stack in coset_maps(m, n, _fixed_vectors(
             m.induced_from, n)) for X in stack]
     if m.ambient is None:
-        return meataxe.hom_space(F, m.mats, n.mats)
+        return meataxe.hom_space(F, m.mats, n.mats, spin)
     perm, rows, _piv = m.ambient
     U = _fixed_vectors(perm.induced_from, n)
     if not len(U):
@@ -284,8 +267,9 @@ def hom_modules(m, n):
     # restrict to m, whose basis vectors are the rows of rows in k[G/H]
     on_m = np.vstack([meataxe.matmul_rows(F, X.reshape(-1, perm.dim), rows.T)
                       for X in coset_maps(perm, n, U)])
+    seeds = None if spin is None else meataxe.seed_columns(spin)
     basis = meataxe.hom_basis(F, m.mats,
-                              on_m.reshape(len(U), n.dim, m.dim))
+                              on_m.reshape(len(U), n.dim, m.dim), seeds)
     meataxe.check_intertwines(F, basis, m.mats, n.mats)
     return list(basis)
 
@@ -348,12 +332,13 @@ def coset_maps(perm, n, U):
 
 def endomorphism_algebra(m):
     """(algebra, basis_mats): End_kG(m) with structure constants on the
-    computed hom basis.
+    basis hom_modules(m, m) returns.
 
-    Row i of the table comes from one product basis[i] @ [basis_0 ...
-    basis_{r-1}]; the coordinates of all r products, and the certificate
-    that each lies in the span of the basis, are read off the RREF of the
-    flattened basis at once.
+    The unit vectors at a few seed columns generate m: coset 0 of k[G/H]
+    (its coset tree reaches every coset), else the greedy seeds of
+    meataxe.greedy_spin, the spin hom_modules uses too.  An endomorphism
+    is fixed by its columns at the seeds, so the structure constants and
+    the identity are read off those columns alone (_end_tables).
     """
     mult, one, basis = _recall(m, "end", lambda: _endomorphism_algebra(m))
     return FinDimAlgebra(m.field, mult, one), list(basis)
@@ -361,29 +346,49 @@ def endomorphism_algebra(m):
 
 def _endomorphism_algebra(m):
     """endomorphism_algebra's answer as (mult, one, basis)."""
-    F = m.field
-    basis = hom_modules(m, m)
-    r = len(basis)
-    d = m.dim
-    flat = np.array(basis, dtype=np.int16).reshape(r, d * d)
-    R, piv, T = gfq.echelon(F, flat, transform=True)
-    if R.shape[0] != r:
-        raise gfq.CertificateError("hom basis not independent")
+    if _route(m) is not None:
+        spin, seeds = None, [0]
+    else:
+        spin = meataxe.greedy_spin(m.field, m.mats)
+        seeds = meataxe.seed_columns(spin)
+    basis = hom_modules(m, m, spin=spin)
+    mult, one = _end_tables(m.field, m.dim, basis, seeds)
+    return mult, one, basis
 
-    def coords(prods):
-        # rows of prods are flattened matrices; R is the identity on piv
-        cr = prods[:, piv]
-        if not np.array_equal(F.matmul(cr, R), prods):
+
+def _end_tables(F, d, basis, seeds):
+    """(mult, one) of the algebra spanned by the kG-endomorphisms in basis
+    of a d-dim module that the unit vectors at the columns seeds generate.
+
+    u(X) = X[:, seeds] is one to one on End: a map that kills the seeds
+    kills what they generate.  So with the RREF of the u(basis) rows, the
+    coordinates of a product X_i X_j are those of u(X_i X_j) = X_i
+    u(X_j), one product of X_i with all the u(X_j) side by side.  A
+    product of endomorphisms is one, so u(X_i X_j) == coords . u(basis)
+    means X_i X_j == coords . basis exactly; that check raises
+    CertificateError, as does a basis that u does not keep independent
+    (seeds that do not generate the module can show this way)."""
+    r, s = len(basis), len(seeds)
+    U = np.array([X[:, seeds] for X in basis], dtype=np.int16)
+    U = U.reshape(r, d, s)
+    R, piv, T = gfq.echelon(F, U.reshape(r, d * s), transform=True)
+    if R.shape[0] != r:
+        raise gfq.CertificateError("hom basis not independent at the seeds")
+
+    def coords(rows):
+        cr = rows[:, piv]
+        if not np.array_equal(F.matmul(cr, R), rows):
             raise gfq.CertificateError("product left the algebra")
         return F.matmul(cr, T)
 
-    side = np.hstack(basis)
+    side = U.transpose(1, 0, 2).reshape(d, r * s)
     mult = np.zeros((r, r, r), dtype=np.int16)
-    for i in range(r):
-        prods = F.matmul(basis[i], side).reshape(d, r, d)
-        mult[i] = coords(prods.transpose(1, 0, 2).reshape(r, d * d))
-    one = coords(np.eye(d, dtype=np.int16).reshape(1, d * d))[0]
-    return mult, one, basis
+    for i, X in enumerate(basis):
+        # row j, column (a, t) is (X_i X_j)[a, seeds[t]]
+        prods = F.matmul(X, side).reshape(d, r, s).transpose(1, 0, 2)
+        mult[i] = coords(prods.reshape(r, d * s))
+    one = coords(np.eye(d, dtype=np.int16)[:, seeds].reshape(1, d * s))[0]
+    return mult, one
 
 
 class Summand:
@@ -436,19 +441,17 @@ def _decompose(m, seed):
     if total != m.dim:
         raise gfq.CertificateError("summands of dims adding to %d in a "
                                    "%d-dim module" % (total, m.dim))
-    groups = []
-    for sub, rows, X in pieces:
-        placed = False
-        for g in groups:
-            if g.module.dim == sub.dim and meataxe.iso_of_indecomposables(
-                    F, g.module.mats, sub.mats) is not None:
+    groups, firsts = [], []   # firsts: the idempotent in E of each group
+    for (sub, rows, X), f in zip(pieces, prims):
+        for g, e in zip(groups, firsts):
+            if g.module.dim == sub.dim and alg.equivalent_idempotents(e, f):
                 g.multiplicity += 1
                 g.embeddings.append(rows)
                 g.idempotents.append(X)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append(Summand(sub, 1, [rows], [X]))
+            firsts.append(f)
     groups.sort(key=lambda g: (g.module.dim, -g.multiplicity))
     return groups
 

@@ -186,6 +186,7 @@ class PermGroup:
         self._arr = None     # (order, degree) images of the sorted elements
         self._inv = None     # row i is the image array of elements()[i]^-1
         self._keys = None    # sorted lookup keys of the rows of _arr
+        self._words = None   # the walk behind generator_word
         self._key_type = np.min_scalar_type(max(degree - 1, 0)) \
             .newbyteorder(">")  # see the module docstring
         # answers about modules over this group, kept by modules._recall
@@ -277,7 +278,7 @@ class PermGroup:
             if n > cap:
                 raise ResourceCap(
                     "group of order %d exceeds element cap %d" % (n, cap))
-            arr, keys = self._span(self._generator_array())
+            arr, keys, _gen, _parent = self._span(self._generator_array())
             if len(arr) != n:
                 raise CertificateError("%d elements found for a group of "
                                        "order %d" % (len(arr), n))
@@ -352,20 +353,43 @@ class PermGroup:
         return rows.view("S%d" % width).reshape(len(rows))
 
     def _span(self, gens):
-        """(rows, sorted keys) of the group generated by the image rows
-        gens, found breadth first, a whole frontier times each generator
-        per step."""
+        """(rows, sorted keys, gen, parent) of the group generated by the
+        image rows gens, found breadth first, a whole frontier times each
+        generator per step: row i > 0 is gens[gen[i]] * row parent[i],
+        reached by a shortest word."""
         frontier = np.arange(self.degree)[None, :]
         rows, keys = [frontier], self._keys_of(frontier)
+        gen, parent = [np.zeros(1, np.intp)], [np.zeros(1, np.intp)]
+        start = 0   # the row of frontier[0]
         while len(frontier):
             # row (s, j) is gens[s] * frontier[j]
             cand = gens[:, frontier].reshape(-1, self.degree)
             ck, first = np.unique(self._keys_of(cand), return_index=True)
             new = ~_locate(keys, ck)[1]
-            frontier = cand[first[new]]
+            pick = first[new]
+            gen.append(pick // len(frontier))
+            parent.append(start + pick % len(frontier))
+            start += len(frontier)
+            frontier = cand[pick]
             rows.append(frontier)
             keys = np.sort(np.concatenate([keys, ck[new]]))
-        return np.concatenate(rows), keys
+        return (np.concatenate(rows), keys, np.concatenate(gen),
+                np.concatenate(parent))
+
+    def generator_word(self, g):
+        """g as a shortest product of generators, as the tuple of their
+        indices, leftmost applied last.  The first call walks the group
+        once (with no element cap) and keeps the walk's tree."""
+        if self._words is None:
+            rows, _keys, gen, parent = self._span(self._generator_array())
+            index = {img: i for i, img in enumerate(map(tuple, rows.tolist()))}
+            self._words = (index, gen.tolist(), parent.tolist())
+        index, gen, parent = self._words
+        i, word = index[g.img], []   # KeyError when g is not in the group
+        while i:
+            word.append(gen[i])
+            i = parent[i]
+        return tuple(word)
 
     def _adopt(self, big, which):
         """Take big.elements()[i] for the ascending indices i in which

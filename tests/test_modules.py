@@ -9,9 +9,9 @@ import weakref
 import numpy as np
 import pytest
 
-from blockperm import gfq, modules, vertexweight
+from blockperm import blocks, gfq, meataxe, modules, vertexweight
 from blockperm.modules import GModule, SimpleRegistry
-from blockperm.permgrp import PermGroup
+from blockperm.permgrp import PermGroup, parse_group
 
 
 def test_permutation_module_basics():
@@ -369,3 +369,204 @@ def test_records_are_keyed_by_module_content(monkeypatch):
     for arr in (da[0].embeddings[0], da[0].idempotents[0], basis[0]):
         with pytest.raises(ValueError):
             arr[0, 0] = 1
+
+
+# -- End(M) from seed images, summand isomorphism from idempotents --
+
+
+def _reference_end(m):
+    """(mult, one) of End(m) computed the way it was before seed images:
+    one product basis[i] @ [basis_0 ... basis_{r-1}] per i, and the
+    coordinates of all products off the RREF of the r x d^2 flattening."""
+    F = m.field
+    basis = modules.hom_modules(m, m)
+    r, d = len(basis), m.dim
+    flat = np.array(basis, dtype=np.int16).reshape(r, d * d)
+    R, piv, T = gfq.echelon(F, flat, transform=True)
+    assert R.shape[0] == r
+
+    def coords(prods):
+        cr = prods[:, piv]
+        assert np.array_equal(F.matmul(cr, R), prods)
+        return F.matmul(cr, T)
+
+    side = np.hstack(basis)
+    mult = np.zeros((r, r, r), dtype=np.int16)
+    for i in range(r):
+        prods = F.matmul(basis[i], side).reshape(d, r, d)
+        mult[i] = coords(prods.transpose(1, 0, 2).reshape(r, d * d))
+    one = coords(np.eye(d, dtype=np.int16).reshape(1, d * d))[0]
+    return mult, one
+
+
+@pytest.mark.parametrize("gspec,fspec", [("sym:4", "3"), ("sym:5", "5"),
+                                         ("alt:5", "2^2"), ("alt:4", "2^8")])
+def test_end_from_seed_images_matches_the_flattened_products(monkeypatch,
+                                                             gspec, fspec):
+    """On each route of hom_modules (k[G/H], a certified summand of k[G/H],
+    a plain basis) the structure constants and identity read off the seed
+    columns are byte-identical to the ones read off the whole matrices,
+    and M is spun at most once."""
+    ga = blocks.GroupAlgebra(parse_group(gspec), gfq.GF.parse(fspec))
+    g, F = ga.group, ga.field
+    summand = ga.blocks(seed=0)[0].block_sylow_module(
+        g.sylow_subgroup(F.p))
+    cases = [("coset", GModule.permutation(g, g.sylow_subgroup(F.p), F), 0),
+             ("coset", GModule.permutation(g, g.subgroup(
+                 [g.generators[0]]), F), 0),
+             ("summand", summand, 1),
+             ("spin", GModule(g, F, summand.mats), 1),
+             ("spin", GModule.permutation(g, g.sylow_subgroup(F.p), F)
+              .direct_sum(GModule.trivial(g, F)), 1)]
+    spins = []
+    real = meataxe.greedy_spin
+
+    def counting(*args):
+        spins.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(meataxe, "greedy_spin", counting)
+    for route, m, nspins in cases:
+        assert route == ("coset" if modules._route(m) is not None else
+                         "summand" if m.ambient is not None else "spin")
+        del spins[:]
+        mult, one, _basis = modules._endomorphism_algebra(m)
+        assert len(spins) == nspins
+        ref_mult, ref_one = _reference_end(m)
+        assert mult.tobytes() == ref_mult.tobytes()
+        assert one.tobytes() == ref_one.tobytes()
+
+
+def _reference_iso(F, mats_m, mats_n):
+    """iso_of_indecomposables as it was, with both hom spaces: the first h
+    of Hom(M, N) with h hb invertible for some hb in Hom(N, M)."""
+    dn = meataxe.module_dim(mats_n)
+    if meataxe.module_dim(mats_m) != dn:
+        return None
+    H = meataxe.hom_space(F, mats_m, mats_n)
+    if not H:
+        return None
+    for h in H:
+        for hb in meataxe.hom_space(F, mats_n, mats_m):
+            if gfq.rank(F, F.matmul(h, hb)) == dn:
+                return h
+    return None
+
+
+def _pieces(m):
+    """(End(m), its primitive idempotents, the action matrices of the
+    summands they cut out), as _decompose makes them."""
+    F, d = m.field, m.dim
+    alg, basis = modules.endomorphism_algebra(m)
+    prims = alg.primitive_idempotents(seed=0)
+    flat = np.array(basis).reshape(len(basis), d * d)
+    pieces = []
+    for f in prims:
+        X = F.matmul(f[None, :], flat).reshape(d, d)
+        rows, piv = gfq.echelon(F, X.T)
+        pieces.append(meataxe.restrict_to_submodule(F, m.mats, rows, piv))
+    return alg, prims, pieces
+
+
+def _iso_cases():
+    g6, g4, g3, a4 = (PermGroup.symmetric(6), PermGroup.symmetric(4),
+                      PermGroup.symmetric(3), PermGroup.alternating(4))
+    return [
+        # 1 + 1 + 9 + 9 + 10 + 10 + 20 + 20, only the 20s isomorphic
+        GModule.permutation(g6, g6.sylow_subgroup(3), gfq.GF.get(3)),
+        # 3 + 3 + 3 + 3, two of them isomorphic
+        GModule.permutation(g4, g4.subgroup([g4.generators[0]]),
+                            gfq.GF.get(3)),
+        # P(k) + 2 + 2: the 2-dim projective simple twice
+        GModule.regular(g3, gfq.GF.get(2)),
+        # three 4-dim projectives, pairwise not isomorphic
+        GModule.regular(a4, gfq.GF.get(2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_idempotent_isomorphism_agrees_with_hom_spaces(case):
+    """eM and fM are isomorphic exactly when e and f are equivalent
+    idempotents of End(M): on every pair of summands of equal dimension
+    the verdict is iso_of_indecomposables's, and that one-sided test
+    returns the matrix (or None) of the two-sided one it replaced."""
+    m = _iso_cases()[case]
+    F = m.field
+    alg, prims, pieces = _pieces(m)
+    verdicts = []
+    for i, (e, a) in enumerate(zip(prims, pieces)):
+        for j, (f, b) in enumerate(zip(prims, pieces)):
+            if meataxe.module_dim(a) != meataxe.module_dim(b):
+                continue
+            iso = meataxe.iso_of_indecomposables(F, a, b)
+            ref = _reference_iso(F, a, b)
+            assert (iso is None) == (ref is None)
+            if iso is not None:
+                assert iso.tobytes() == ref.tobytes()
+            assert alg.equivalent_idempotents(e, f) == (iso is not None)
+            if i != j:
+                verdicts.append((meataxe.module_dim(a), iso is not None))
+    assert any(not v for _d, v in verdicts)
+    if case == 0:
+        assert sorted(d for d, v in verdicts if v) == [20, 20]
+        assert [(x.module.dim, x.multiplicity)
+                for x in modules.decompose(m, seed=0)][-1] == (20, 2)
+
+
+def test_end_tables_certificates_run_under_python_O(failure_kinds_under_O):
+    """The seed-coordinate check of End is not an assert: a basis that is
+    not closed under products, and seeds that do not generate the module,
+    are caught under python -O."""
+    assert failure_kinds_under_O("""
+        import numpy as np
+        from blockperm import modules
+        from blockperm.modules import GModule
+        from blockperm.permgrp import PermGroup
+
+        F = gfq.GF.get(5)
+        t = GModule.trivial(PermGroup.symmetric(3), F)
+        m = t.direct_sum(t)       # End(m) is all 2 x 2 matrices
+        units = []
+        for i, j in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            X = np.zeros((2, 2), dtype=np.int16)
+            X[i, j] = 1
+            units.append(X)
+        print(kind(lambda: modules._end_tables(F, 2, units, [0, 1])))
+        # E_10 E_01 = E_11 is not in the span of E_00, E_01, E_10
+        print(kind(lambda: modules._end_tables(F, 2, units[:3], [0, 1])))
+        # e_0 alone spans only the first summand
+        print(kind(lambda: modules._end_tables(F, 2, units, [0])))
+        """) == ["none", "cert", "cert"]
+
+
+def test_generator_words_are_shortest_and_uncapped(monkeypatch):
+    """Each element's word multiplies out to it and is as short as in a
+    breadth-first walk over Perm objects; words need no element cap, and
+    rep_of gives the same matrices either way."""
+    g = PermGroup.alternating(5)
+    words = {tuple(range(5)): ()}
+    frontier = [g.elements()[0]]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, gen in enumerate(g.generators):
+                y = gen * x
+                if y.img not in words:
+                    words[y.img] = (s,) + words[x.img]
+                    nxt.append(y)
+        frontier = nxt
+    for x in g.elements():
+        word = g.generator_word(x)
+        assert len(word) == len(words[x.img])
+        prod = g.elements()[0]
+        for s in reversed(word):
+            prod = g.generators[s] * prod
+        assert prod == x
+    F = gfq.GF.get(3)
+    m = GModule(g, F, GModule.permutation(g, g.sylow_subgroup(2), F).mats)
+    mats = [m.rep_of(x) for x in g.elements()]
+    monkeypatch.setenv("BLOCKPERM_CAP", "10")
+    fresh = PermGroup.alternating(5)
+    n = GModule(fresh, F, m.mats)
+    for x, M in zip(g.elements(), mats):
+        assert np.array_equal(n.rep_of(x), M)
