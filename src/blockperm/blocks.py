@@ -384,14 +384,29 @@ class Block:
         return bool(self.evec[self.ga.centralizer_support(q)].any())
 
     def defect_group(self):
-        """A maximal p-subgroup with nonzero Brauer quotient (unique class)."""
+        """A maximal p-subgroup with nonzero Brauer quotient (unique class):
+        the first such representative of p_subgroups_up_to_conjugacy, on
+        small generators.
+
+        The two ends need no class search.  If Br_S(e) != 0 for the Sylow
+        S, the defect group is S.  Otherwise, if e vanishes on every g with
+        p | |C_G(g)| = |G|/|class of g|, which is the union of the C_G(Q)
+        over Q of order p, then Br_Q(e) = 0 for every Q != 1 (it contains
+        such a Q and centralizes less), and the defect group is trivial.
+        Only a block strictly in between scans the classes."""
         if "defect" not in self._cache:
-            classes = self.ga.group.p_subgroups_up_to_conjugacy(self.ga.field.p)
-            best = None
-            for q in classes:
-                if self.brauer_quotient_nonzero(q):
-                    if best is None or q.order() > best.order():
-                        best = q
+            ga, p = self.ga, self.ga.field.p
+            sylow = ga.group.sylow_subgroup(p)
+            class_of = ga.conjugacy_classes()[0]
+            singular = (ga.n // np.bincount(class_of))[class_of] % p == 0
+            if self.brauer_quotient_nonzero(sylow):
+                best = sylow
+            elif not self.evec[singular].any():
+                best = ga.group.trivial_subgroup()
+            else:  # the first class of largest order
+                best = max(filter(self.brauer_quotient_nonzero,
+                                  ga.group.p_subgroups_up_to_conjugacy(p)),
+                           key=lambda q: q.order())
             self._cache["defect"] = best.with_small_generators()
         return self._cache["defect"]
 
@@ -463,12 +478,7 @@ class Block:
         The isomorphism class does not depend on which Sylow subgroup is
         passed (they are all conjugate), so a conjugate of the defect group
         always sits inside the chosen S."""
-        p = self.ga.field.p
-        order = self.ga.group.order()
-        part = 1
-        while order % p == 0:
-            part *= p
-            order //= p
+        part = self.ga.group.sylow_subgroup(self.ga.field.p).order()
         if sylow.order() != part:
             raise ValueError("subgroup is not a Sylow p-subgroup")
         m = self._on_cosets(sylow)[0]

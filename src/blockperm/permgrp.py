@@ -16,13 +16,16 @@ g * x, of x[arr] is x * g, and of take_along_axis(arr, x[inv]) is
 g * x * g^-1.  Every scan over the group (centralizers, normalizers,
 conjugacy, double cosets, closures, p-subgroup classes) runs on this form.
 
-Orders, and membership in groups that are not materialized, come from a
-Schreier-Sims stabilizer chain; materializing a group checks its element
-count against the chain's order.  Coset actions label a coset gH by its
+Membership in groups that are not materialized, and orders other than
+those symmetric() and alternating() record, come from a Schreier-Sims
+stabilizer chain; materializing a group checks its element count against
+the order.  Sylow subgroups are grown through normalizers rather than
+picked from the p-subgroup classes.  Coset actions label a coset gH by its
 least key and never materialize the big group.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -99,60 +102,9 @@ class Perm:
                 out.append(tuple(c))
         return out
 
-    def cycle_type(self, degree=None):
-        """Partition of the degree given by cycle lengths, descending."""
-        n = degree or len(self.img)
-        lens = sorted((len(c) for c in self.cycles()), reverse=True)
-        fixed = n - sum(lens)
-        return tuple(lens) + (1,) * fixed
-
     @staticmethod
     def identity(degree):
         return Perm(range(degree))
-
-    @staticmethod
-    def from_cycles(text, degree):
-        """Parse 1-based disjoint cycle notation like '(1 2 3)(4 5)'."""
-        img = list(range(degree))
-        text = text.strip()
-        if text in ("", "()", "e", "id"):
-            return Perm(img)
-        depth = 0
-        cur = []
-        cycles = []
-        tok = ""
-        for ch in text:
-            if ch == "(":
-                if depth:
-                    raise ValueError("nested parenthesis in %r" % text)
-                depth = 1
-                cur = []
-                tok = ""
-            elif ch == ")":
-                if tok:
-                    cur.append(int(tok))
-                    tok = ""
-                cycles.append(cur)
-                depth = 0
-            elif ch in " ,":
-                if tok:
-                    cur.append(int(tok))
-                    tok = ""
-            elif ch.isdigit():
-                tok += ch
-            else:
-                raise ValueError("bad character %r in cycle notation" % ch)
-        if depth:
-            raise ValueError("unclosed parenthesis in %r" % text)
-        for c in cycles:
-            pts = [x - 1 for x in c]
-            if any(x < 0 or x >= degree for x in pts):
-                raise ValueError("point out of range in %r" % text)
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                if img[a] != a:
-                    raise ValueError("cycles not disjoint in %r" % text)
-                img[a] = b
-        return Perm(img)
 
     def to_cycle_string(self):
         cyc = self.cycles()
@@ -182,11 +134,14 @@ class PermGroup:
         self.generators = gens
         self.name = name
         self._chain = None
+        self._order = None   # |G| when known from the constructor
         self._elements = None
         self._arr = None     # (order, degree) images of the sorted elements
         self._inv = None     # row i is the image array of elements()[i]^-1
         self._keys = None    # sorted lookup keys of the rows of _arr
         self._words = None   # the walk behind generator_word
+        self._psub_cache = {}   # p-subgroup classes per prime
+        self._sylow = {}        # Sylow subgroup per prime
         self._key_type = np.min_scalar_type(max(degree - 1, 0)) \
             .newbyteorder(">")  # see the module docstring
         # answers about modules over this group, kept by modules._recall
@@ -201,7 +156,9 @@ class PermGroup:
             gens.append(Perm([1, 0] + list(range(2, n))))
         if n >= 3:
             gens.append(Perm(list(range(1, n)) + [0]))
-        return PermGroup(n, gens, name="sym:%d" % n)
+        g = PermGroup(n, gens, name="sym:%d" % n)
+        g._order = math.factorial(n)
+        return g
 
     @staticmethod
     def alternating(n):
@@ -213,7 +170,9 @@ class PermGroup:
                 gens.append(Perm(list(range(1, n)) + [0]))
             else:
                 gens.append(Perm([0] + list(range(2, n)) + [1]))
-        return PermGroup(n, gens, name="alt:%d" % n)
+        g = PermGroup(n, gens, name="alt:%d" % n)
+        g._order = max(1, math.factorial(n) // 2)
+        return g
 
     @staticmethod
     def cyclic(n):
@@ -254,10 +213,14 @@ class PermGroup:
         return self._chain
 
     def order(self):
-        """|G|: the number of elements once materialized, else the product
+        """|G|: the number of elements once materialized.  Before that, the
+        order symmetric() and alternating() record (n! and max(1, n!/2),
+        which image_array's element count then proves), else the product
         of the stabilizer chain's transversal lengths."""
         if self._arr is not None:
             return len(self._arr)
+        if self._order is not None:
+            return self._order
         o = 1
         for _, transversal, _ in self.stabilizer_chain():
             o *= len(transversal)
@@ -271,18 +234,23 @@ class PermGroup:
     def image_array(self, cap=None):
         """The elements as an (order, degree) array of images, sorted like
         elements(); requires order <= cap.  The element count is checked
-        against the Schreier-Sims order."""
+        against order().  For sym:n and alt:n that check is a proof on its
+        own: n! distinct permutations of n points are all of S_n, and a
+        subgroup of S_n of order n!/2 has index 2, so it is A_n.  The walk
+        is kept for generator_word."""
         if self._arr is None:
             cap = cap or element_cap()
             n = self.order()
             if n > cap:
                 raise ResourceCap(
                     "group of order %d exceeds element cap %d" % (n, cap))
-            arr, keys, _gen, _parent = self._span(self._generator_array())
+            arr, keys, gen, parent = self._span(self._generator_array())
             if len(arr) != n:
                 raise CertificateError("%d elements found for a group of "
                                        "order %d" % (len(arr), n))
-            arr = arr[np.argsort(self._keys_of(arr))]
+            walk_row = np.argsort(self._keys_of(arr))
+            self._words = (keys, walk_row, gen, parent)
+            arr = arr[walk_row]
             inv = np.empty_like(arr)
             inv[np.arange(n)[:, None], arr] = np.arange(self.degree)
             arr.flags.writeable = False
@@ -310,12 +278,6 @@ class PermGroup:
 
     def index_of(self, g):
         return int(self.indices(np.array([g.img]))[0])
-
-    def element_set(self):
-        return frozenset(g.img for g in self.elements())
-
-    def is_subgroup_of(self, other):
-        return all(g in other for g in self.generators)
 
     def subgroup(self, gens, name=None):
         return PermGroup(self.degree, gens, name=name)
@@ -378,17 +340,20 @@ class PermGroup:
 
     def generator_word(self, g):
         """g as a shortest product of generators, as the tuple of their
-        indices, leftmost applied last.  The first call walks the group
-        once (with no element cap) and keeps the walk's tree."""
+        indices, leftmost applied last.  Words are read off the walk that
+        materialized the group; before that, the first call walks the group
+        once (with no element cap) and keeps the walk."""
         if self._words is None:
-            rows, _keys, gen, parent = self._span(self._generator_array())
-            index = {img: i for i, img in enumerate(map(tuple, rows.tolist()))}
-            self._words = (index, gen.tolist(), parent.tolist())
-        index, gen, parent = self._words
-        i, word = index[g.img], []   # KeyError when g is not in the group
+            rows, keys, gen, parent = self._span(self._generator_array())
+            self._words = (keys, np.argsort(self._keys_of(rows)), gen, parent)
+        keys, walk_row, gen, parent = self._words
+        pos, found = _locate(keys, self._keys_of(np.array([g.img])))
+        if not found[0]:
+            raise KeyError("permutation not in the group")
+        i, word = int(walk_row[pos[0]]), []
         while i:
-            word.append(gen[i])
-            i = parent[i]
+            word.append(int(gen[i]))
+            i = int(parent[i])
         return tuple(word)
 
     def _adopt(self, big, which):
@@ -431,20 +396,6 @@ class PermGroup:
         return mask
 
     # -- orbits and cosets --
-
-    def orbit(self, point):
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in self.generators:
-                    y = s(x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return sorted(seen)
 
     def coset_action(self, h):
         """Left multiplication action on left cosets gH.
@@ -529,10 +480,6 @@ class PermGroup:
     def are_conjugate_subgroups(self, h1, h2):
         return self.conjugating_element(h1, h2) is not None
 
-    def conjugate_subgroup(self, h, g):
-        gi = g.inv()
-        return PermGroup(self.degree, [g * x * gi for x in h.generators])
-
     def p_subgroups_up_to_conjugacy(self, p):
         """One representative per conjugacy class, ascending by order.
 
@@ -546,16 +493,11 @@ class PermGroup:
         cycle types, which conjugation in Sym(n) keeps.  The result is
         cached per prime.
         """
-        if not hasattr(self, "_psub_cache"):
-            self._psub_cache = {}
         if p in self._psub_cache:
             return self._psub_cache[p]
         arr = self.image_array()
         elems = self.elements()
-        power = arr
-        for _ in range(p - 1):
-            power = np.take_along_axis(arr, power, axis=1)
-        pth = self.indices(power)  # index of x^p for each x
+        pth = self._power_index(p)
         # cycle type ids: the sorted cycle lengths of each element's points
         length, power = np.zeros(arr.shape, dtype=np.intp), arr
         for k in range(1, self.degree + 1):
@@ -563,30 +505,18 @@ class PermGroup:
             power = np.take_along_axis(arr, power, axis=1)
         ctype = np.unique(np.sort(length, axis=1), axis=0,
                           return_inverse=True)[1].reshape(-1)
-        trivial = self.trivial_subgroup()
-        trivial._adopt(self, [0])
-        classes = [trivial]
-        level = [trivial]
+        classes = [self._trivial_in()]
+        level = classes[:]
         while level:
             nxt = []
             by_hist = {}
             seen_sets = set()
             for qrep in level:
-                qarr = qrep.image_array()
-                in_q = np.zeros(len(arr), dtype=bool)
-                in_q[self.indices(qarr)] = True
-                qconj = [self._conjugates(x) for x in qrep.generators]
-                covered = in_q.copy()
-                normal = self._conjugates_in(qrep, qconj)
-                for x in np.flatnonzero(normal & ~in_q & in_q[pth]):
+                covered, qconj, xs = self._p_extensions(qrep, pth)
+                for x in xs:
                     if covered[x]:
                         continue
-                    cosets = [qarr]
-                    for _ in range(p - 1):
-                        cosets.append(arr[x][cosets[-1]])
-                    cand = np.sort(self.indices(np.concatenate(cosets)))
-                    if not np.diff(cand).all():
-                        raise CertificateError("<Q, x> has the wrong order")
+                    cand = self._extend(qrep, x, p)
                     covered[cand] = True
                     key = cand.tobytes()
                     if key in seen_sets:
@@ -597,8 +527,7 @@ class PermGroup:
                         ctype[cand], minlength=ctype.max() + 1).tobytes(), [])
                     if any(self._conjugates_in(r, conj).any() for r in same):
                         continue
-                    sub = self.subgroup(qrep.generators + [elems[x]])
-                    sub._adopt(self, cand)
+                    sub = self._adjoin(qrep, x, cand)
                     nxt.append(sub)
                     same.append(sub)
             classes.extend(nxt)
@@ -607,16 +536,75 @@ class PermGroup:
         return classes
 
     def sylow_subgroup(self, p):
-        classes = self.p_subgroups_up_to_conjugacy(p)
-        best = max(classes, key=lambda h: h.order())
-        n = self.order()
-        pk = 1
-        while n % p == 0:
-            n //= p
-            pk *= p
-        if best.order() != pk:
-            raise CertificateError("largest p-subgroup class is not Sylow")
-        return best
+        """A Sylow p-subgroup, cached per prime: the class search's
+        representative of the top class, grown without the class search.
+
+        Start from the trivial subgroup Q.  While |Q| < |G|_p, adjoin the
+        least x in N(Q) \\ Q with x^p in Q; it exists because p divides
+        |N(Q)/Q| for a p-subgroup that is not Sylow.  This is exactly
+        p_subgroups_up_to_conjugacy(p)'s Sylow representative, generators
+        and elements included: the class search takes the first
+        representative of a level first, and its least such x is neither
+        covered nor conjugate to an earlier representative of the next
+        level (there is none), so the first representative of each level
+        is the first of the level below extended by that x.  The Sylow
+        subgroups form one class, the only one of top order."""
+        if p not in self._sylow:
+            pth = self._power_index(p)
+            n, pk = self.order(), 1
+            while n % p == 0:
+                n, pk = n // p, pk * p
+            q = self._trivial_in()
+            while q.order() < pk:
+                xs = self._p_extensions(q, pth)[2]
+                if not len(xs):
+                    raise CertificateError("no p-element of N(Q) over a "
+                                           "p-subgroup Q below Sylow order")
+                q = self._adjoin(q, xs[0], self._extend(q, xs[0], p))
+            self._sylow[p] = q
+        return self._sylow[p]
+
+    # -- steps of the p-subgroup searches, on a materialized group --
+
+    def _power_index(self, p):
+        """Index of x^p for each element x."""
+        arr = self.image_array()
+        power = arr
+        for _ in range(p - 1):
+            power = np.take_along_axis(arr, power, axis=1)
+        return self.indices(power)
+
+    def _trivial_in(self):
+        trivial = self.trivial_subgroup()
+        trivial._adopt(self, [0])
+        return trivial
+
+    def _p_extensions(self, q, pth):
+        """(mask of Q, conjugates of Q's generators, the ascending indices
+        x in N(Q) \\ Q with x^p in Q) for a subgroup q of self."""
+        in_q = np.zeros(len(pth), dtype=bool)
+        in_q[self.indices(q.image_array())] = True
+        qconj = [self._conjugates(x) for x in q.generators]
+        normal = self._conjugates_in(q, qconj)
+        return in_q, qconj, np.flatnonzero(normal & ~in_q & in_q[pth])
+
+    def _extend(self, q, x, p):
+        """Sorted indices of <Q, x> = Q u xQ u ... u x^(p-1)Q, for x from
+        _p_extensions: it normalizes Q and x^p is in Q, so the p cosets
+        are distinct and |<Q, x>| = p|Q|."""
+        cosets = [q.image_array()]
+        for _ in range(p - 1):
+            cosets.append(self.image_array()[x][cosets[-1]])
+        cand = np.sort(self.indices(np.concatenate(cosets)))
+        if not np.diff(cand).all():
+            raise CertificateError("<Q, x> has the wrong order")
+        return cand
+
+    def _adjoin(self, q, x, cand):
+        """<Q, x> on Q's generators and x, with the elements cand."""
+        sub = self.subgroup(q.generators + [self.elements()[x]])
+        sub._adopt(self, cand)
+        return sub
 
     # -- serialization --
 

@@ -54,6 +54,12 @@ def _imgs(perms):
     return [list(x.img) for x in perms]
 
 
+def conjugate_subgroup(h, g):
+    """g h g^-1, generated by the conjugates of h's generators."""
+    gi = g.inv()
+    return PermGroup(h.degree, [g * x * gi for x in h.generators])
+
+
 def summarize(spec, p):
     """Every permgrp scan on parse_group(spec) and its p-subgroup classes,
     as JSON-ready values keyed by what they test."""
@@ -79,7 +85,7 @@ def summarize(spec, p):
         out["small_generators"].append(
             [_imgs(c.with_small_generators().generators),
              _imgs(nq.with_small_generators().generators)])
-        moved = g.conjugate_subgroup(q, shift)
+        moved = conjugate_subgroup(q, shift)
         x = g.conjugating_element(q, moved)
         others = [r for r in classes if r is not q and r.order() == q.order()]
         y = g.conjugating_element(q, others[0]) if others else None
