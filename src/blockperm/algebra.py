@@ -13,15 +13,19 @@ Wales 1997).  Over GF(p^e) it is the radical of A over GF(p), the same
 subspace.  Certificates check that J is a nilpotent two-sided ideal.
 
 Idempotents are found semisimply first and then lifted: in a semisimple
-corner a nonzero singular element z spans a proper left ideal Cz, which
-contains a right identity g solving a linear system; g is a nontrivial
-idempotent and splits the corner.  A corner with no singular elements is a
-division ring, certified by an element whose minimal polynomial is
-irreducible of degree equal to the corner dimension (our corners are
-commutative over their centers at that point, so this terminates for every
-algebra that actually arises here).  Lifting through the radical iterates
-x <- 3x^2 - 2x^3, which squares the radical-order of the error x^2 - x in
-every characteristic.
+corner C of dimension d a nonzero singular element z spans a proper left
+ideal Cz, which contains a right identity g solving a linear system; g is a
+nontrivial idempotent and splits the corner.  The candidates are the basis
+elements.  For an invertible z with minimal polynomial m, an irreducible m
+of degree d certifies that C = k[z] is a field.  A reducible m has a first
+irreducible factor f, and f(z) is singular (Eberly, Giesbrecht 2000):
+f(z) != 0 by the minimality of m, and f(z) (m/f)(z) = m(z) = 0 with
+(m/f)(z) != 0, so 0 < rank L_f(z) < d.  Only a candidate whose m is
+irreducible of degree < d gives nothing; when all do, random elements
+follow (our corners are commutative over their centers by then, so the
+search ends for every algebra that actually arises here).  Lifting
+through the radical iterates x <- 3x^2 - 2x^3, which squares the
+radical-order of the error x^2 - x in every characteristic.
 """
 
 import json
@@ -595,12 +599,24 @@ def _semisimple_primitives(S, seed):
             if rk == 0:
                 continue
             if rk == d:
-                # invertible; a field certificate ends the search
-                mp = alg.minpoly_of(z)
-                if polys.degree(mp) == d and polys.is_irreducible(F, mp):
-                    out.append(e_outer)
-                    return
-                continue
+                # invertible: an irreducible minimal polynomial of degree d
+                # certifies a field, and a proper factor f gives the zero
+                # divisor f(z) = f(L_z) one (module docstring)
+                facs = polys.factor(F, alg.minpoly_of(z))
+                f = facs[0][0]
+                if len(facs) == 1 and facs[0][1] == 1:
+                    if polys.degree(f) == d:
+                        out.append(e_outer)
+                        return
+                    continue
+                z = np.zeros(d, dtype=np.int16)
+                for c in f[::-1]:
+                    z = F.add(F.matmul(lz, z[:, None])[:, 0],
+                              F.mul(c, alg.one))
+                if not 0 < gfq.rank(F, alg.lmul_of(z)) < d:
+                    raise gfq.CertificateError("f(z) for a factor f of the "
+                                               "minimal polynomial of z is "
+                                               "not a zero divisor")
             # proper left ideal V = alg * z (the image of x -> x*z); find its
             # right identity g: sum_a c_a (v_j * w_a) = v_j with w_a the basis
             rz = alg.rmul_of(z)

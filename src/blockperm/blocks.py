@@ -197,15 +197,17 @@ class GroupAlgebra:
     # -- blocks --
 
     def blocks(self, seed=0):
-        """The blocks, principal first.  Blocks hold the algebra, which keeps
-        their idempotents and results but the Blocks only weakly: dropping
-        both frees the algebra and its caches at once, without a full
-        collection."""
+        """The blocks: principal first, then by the first element and the
+        coefficients of the idempotent, an order that no seed changes.
+        Blocks hold the algebra, which keeps their idempotents and results
+        but the Blocks only weakly: dropping both frees the algebra and its
+        caches at once, without a full collection."""
         if self._blocks is None:
             prims = self.center_algebra().primitive_idempotents(seed=seed)
             new = [Block(self, c, {}) for c in prims]
             new.sort(key=lambda b: (not b.is_principal,
-                                    int(np.nonzero(b.evec)[0][0])))
+                                    int(np.nonzero(b.evec)[0][0]),
+                                    b.evec.tobytes()))
             self._blocks = [[b.coords, b._cache, weakref.ref(b)] for b in new]
         out = []
         for entry in self._blocks:

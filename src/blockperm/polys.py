@@ -259,14 +259,3 @@ def factor(field, f, seed=0):
         raise CertificateError("factor degrees do not add up to deg f")
     return [(_arr(g), m) for g, m in out]
 
-
-def is_irreducible(field, f):
-    T = field.tables()
-    f = _monic(T, _lst(f))
-    if len(f) < 3:
-        return len(f) == 2
-    d = _derivative(field, f)
-    if not d or len(_gcd(T, f, d)) > 1:
-        return False
-    ddf = _distinct_degree(field, f)
-    return len(ddf) == 1 and ddf[0][1] == len(f) - 1

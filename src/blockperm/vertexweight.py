@@ -182,11 +182,13 @@ def green_correspondent(x, big, q, seed=0):
 
 class Weight:
     """A weight: a p-subgroup Q together with a projective simple module of
-    k[N_G(Q)/Q], carried as its inflation to N_G(Q)."""
+    k[N_G(Q)/Q], carried as its inflation to N_G(Q).  The weights of one Q
+    share one group algebra k[N_G(Q)], whose blocks block_of_weight reads."""
 
-    def __init__(self, q, normalizer, module, simple_dim):
+    def __init__(self, q, normalizer_algebra, module, simple_dim):
         self.q = q
-        self.normalizer = normalizer
+        self.normalizer_algebra = normalizer_algebra
+        self.normalizer = normalizer_algebra.group
         self.module = module          # GModule over the normalizer
         self.simple_dim = simple_dim
 
@@ -201,42 +203,45 @@ def weights(group, field, seed=0):
     belong to those blocks, so they never contribute to a positive-defect
     block count and are listed separately by defect_zero_weight_count.
     """
-    p = field.p
     out = []
-    for q in group.p_subgroups_up_to_conjugacy(p)[1:]:
+    for q in group.p_subgroups_up_to_conjugacy(field.p)[1:]:
         n = group.normalizer(q).with_small_generators()
-        reps, images = n.coset_action(q)
-        r = len(reps)
-        if r == 1:
-            # Q is self-normalizing: k[N/Q] = k and the trivial module is
-            # the unique (projective simple) weight module
-            one = np.eye(1, dtype=np.int16)
-            inflated = GModule(n, field, [one] * len(n.generators),
-                               name="weight module")
-            out.append(Weight(q, n, inflated, 1))
+        found = _weight_modules(n, q, field, seed)
+        if found:
+            gan = GroupAlgebra(n, field)
+            out.extend(Weight(q, gan, m, dim) for m, dim in found)
+    return out
+
+
+def _weight_modules(n, q, field, seed):
+    """(inflated module, simple dim) per projective simple of k[N/Q]."""
+    reps, images = n.coset_action(q)
+    if len(reps) == 1:
+        # Q is self-normalizing: k[N/Q] = k and the trivial module is the
+        # unique (projective simple) weight module
+        one = np.eye(1, dtype=np.int16)
+        return [(GModule(n, field, [one] * len(n.generators),
+                         name="weight module"), 1)]
+    out = []
+    wgens = [Perm(images[s]) for s in range(len(n.generators))]
+    wgroup = PermGroup(len(reps), wgens)
+    gaw = GroupAlgebra(wgroup, field)
+    for c in gaw.blocks(seed=seed):
+        if c.defect_group().order() != 1:
             continue
-        wgens = [Perm(images[s]) for s in range(len(n.generators))]
-        wgroup = PermGroup(r, wgens)
-        gaw = GroupAlgebra(wgroup, field)
-        for c in gaw.blocks(seed=seed):
-            if c.defect_group().order() != 1:
-                continue
-            block_mod = c.block_sylow_module(wgroup.sylow_subgroup(p))
-            facs = meataxe.composition_factors(field, block_mod.mats,
-                                               seed=seed)
-            if len(facs) != 1:
-                raise gfq.CertificateError("inhomogeneous defect 0 block")
-            simple_mats, _mult = facs[0]
-            # the block module's matrices follow wgroup's (possibly
-            # reduced) generator list; inflate generator by generator so
-            # the module lines up with n's generators even when some map
-            # to the identity of N/Q
-            wmod = GModule(wgroup, field, simple_mats)
-            inflated_mats = [wmod.rep_of(w) for w in wgens]
-            inflated = GModule(n, field, inflated_mats,
-                               name="weight module")
-            out.append(Weight(q, n, inflated,
-                              meataxe.module_dim(simple_mats)))
+        block_mod = c.block_sylow_module(wgroup.sylow_subgroup(field.p))
+        facs = meataxe.composition_factors(field, block_mod.mats, seed=seed)
+        if len(facs) != 1:
+            raise gfq.CertificateError("inhomogeneous defect 0 block")
+        simple_mats, _mult = facs[0]
+        # the block module's matrices follow wgroup's (possibly reduced)
+        # generator list; inflate generator by generator so the module
+        # lines up with n's generators even when some map to the identity
+        # of N/Q
+        wmod = GModule(wgroup, field, simple_mats)
+        inflated = GModule(n, field, [wmod.rep_of(w) for w in wgens],
+                           name="weight module")
+        out.append((inflated, meataxe.module_dim(simple_mats)))
     return out
 
 
@@ -256,8 +261,7 @@ def block_of_weight(ga, weight, seed=0):
     """
     F = ga.field
     q = weight.q
-    n = weight.normalizer
-    gan = GroupAlgebra(n, F)
+    gan = weight.normalizer_algebra
     # locate the kN-block acting as identity on the weight module
     target = None
     for c in gan.blocks(seed=seed):

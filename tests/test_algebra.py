@@ -1,8 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from blockperm import algebra, gfq, meataxe, modules
+from blockperm.blocks import GroupAlgebra
 from blockperm.permgrp import Perm, PermGroup, parse_group
+from test_polys import is_irreducible
 
 
 def test_group_algebra_multiplication():
@@ -286,3 +290,144 @@ def test_trace_radical_of_semisimple_algebras(a):
     J = 0 comes from the higher levels."""
     _assert_meataxe_radical(a)
     assert a.is_semisimple()
+
+
+def _search_semisimple_primitives(S, seed):
+    """The splitting before the factor split, kept as a reference: an
+    invertible candidate is dropped unless its minimal polynomial certifies
+    a field, and random elements follow the basis elements until one is
+    singular."""
+    rng = np.random.default_rng(seed)
+    out = []
+
+    def split(alg, e_outer, embed):
+        d = alg.dim
+        if d == 1:
+            out.append(e_outer)
+            return
+        F = alg.field
+        tries = 0
+        cand_idx = 0
+        while tries < 4000:
+            tries += 1
+            if cand_idx < d:
+                z = np.zeros(d, dtype=np.int16)
+                z[cand_idx] = 1
+                cand_idx += 1
+            else:
+                z = rng.integers(0, F.q, d).astype(np.int16)
+            if not z.any():
+                continue
+            lz = alg.lmul_of(z)
+            rk = gfq.rank(F, lz)
+            if rk == 0:
+                continue
+            if rk == d:
+                mp = alg.minpoly_of(z)
+                if len(mp) - 1 == d and is_irreducible(F, mp):
+                    out.append(e_outer)
+                    return
+                continue
+            rz = alg.rmul_of(z)
+            V, vpiv = gfq.echelon(F, rz.T)
+            nv = V.shape[0]
+            M = algebra._products(F, alg.mult, V, V).transpose(0, 2, 1)
+            c = gfq.solve(F, M.reshape(nv * d, nv), V.reshape(-1))
+            if c is None:
+                raise gfq.CertificateError("no right identity in left ideal")
+            g = F.matmul(V.T, c[:, None])[:, 0]
+            g2 = F.sub(alg.one, g)
+            if not (alg.is_idempotent(g) and g.any() and g2.any()):
+                raise gfq.CertificateError("right identity of a proper left "
+                                           "ideal is not a proper idempotent")
+            for part in (g, g2):
+                C, rows2, piv2 = alg.corner(part)
+                emb2 = F.matmul(rows2, embed) if embed is not None else rows2
+                eo = F.matmul(embed.T, part[:, None])[:, 0] \
+                    if embed is not None else part
+                split(C, eo, emb2)
+            return
+        raise RuntimeError("could not split semisimple algebra")
+
+    split(S, S.one, None)
+    return out
+
+
+SPLIT_GROUPS = ["sym:3", "sym:4", "sym:5", "alt:4", "alt:5", "cyclic:3"]
+SPLIT_FIELDS = ["2", "2^2", "5", "2^8"]
+
+
+def _block_bytes(gspec, fspec, seed):
+    ga = GroupAlgebra(parse_group(gspec), gfq.GF.parse(fspec))
+    return [b.evec.tobytes() for b in ga.blocks(seed=seed)]
+
+
+@pytest.mark.parametrize("fspec", SPLIT_FIELDS)
+@pytest.mark.parametrize("gspec", SPLIT_GROUPS)
+def test_factor_split_gives_the_searched_block_idempotents(
+        gspec, fspec, monkeypatch):
+    """Central primitive idempotents are unique and blocks sort them, so
+    splitting along factors of minimal polynomials gives the same block
+    idempotents, byte for byte, as the search for singular elements."""
+    for seed in (0, 1, 2):
+        new = _block_bytes(gspec, fspec, seed)
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra, "_semisimple_primitives",
+                       _search_semisimple_primitives)
+            assert _block_bytes(gspec, fspec, seed) == new
+
+
+@pytest.mark.parametrize("fspec", SPLIT_FIELDS)
+@pytest.mark.parametrize("gspec", SPLIT_GROUPS)
+def test_factor_split_draws_no_random_candidate(gspec, fspec, monkeypatch):
+    """On the centers of these group algebras a basis element always
+    splits or certifies a field: split never reaches its rng."""
+    draws = []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, *args, **kwargs):
+            self._rng = default_rng(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def integers(self, *args, **kwargs):
+            draws.append(sys._getframe(1).f_code.co_name)
+            return self._rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    for seed in (0, 1, 2):
+        ga = GroupAlgebra(parse_group(gspec), gfq.GF.parse(fspec))
+        assert len(ga.center_algebra().primitive_idempotents(seed=seed)) \
+            == len(ga.blocks(seed=seed))
+    assert "split" not in draws
+
+
+def test_split_along_a_non_factor_is_refused(failure_kinds_under_O):
+    """f(z) for a factor f that does not divide the minimal polynomial of
+    z, or for m itself, is no zero divisor; the explicit rank check refuses
+    it, also under python -O."""
+    assert failure_kinds_under_O("""
+        import numpy as np
+        from blockperm import algebra, gfq, polys
+        from blockperm.permgrp import PermGroup
+        a = algebra.group_algebra(gfq.GF.get(5), PermGroup.cyclic(2))
+
+        def refusal():
+            try:
+                algebra._semisimple_primitives(a, 0)
+            except gfq.CertificateError as exc:
+                return "zero-divisor" if "zero divisor" in str(exc) \\
+                    else "other-cert"
+            return "none"
+
+        print(refusal())
+        x = np.array([0, 1], np.int16)
+        # x is not a factor of x^2 - 1: f(z) = z is invertible
+        polys.factor = lambda F, f, seed=0: [(x, 1), (x, 1)]
+        print(refusal())
+        # x^2 - 1 itself is a factor but not a proper one: f(z) = 0
+        polys.factor = lambda F, f, seed=0: [(f, 1), (f, 1)]
+        print(refusal())
+        """) == ["none", "zero-divisor", "zero-divisor"]

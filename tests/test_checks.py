@@ -101,6 +101,19 @@ def test_fast_checks_do_not_depend_on_the_seed():
     assert texts[0] == texts[1] == texts[2]
 
 
+def test_a4_over_gf256_block_properties_do_not_depend_on_the_seed():
+    """The A_4 block-property questions over GF(2^8) pass at seeds 0-4 with
+    identical canonical assertions."""
+    texts = []
+    for seed in range(5):
+        rep = checks.CheckReport("thm-1.2-4-a4gf256", seed)
+        checks._check_block_properties(rep, checks.Context(), seed, "alt:4",
+                                       "2^8", True)
+        assert rep.assertions and rep.passed, rep.assertions
+        texts.append(json.dumps(rep.assertions, sort_keys=True))
+    assert len(set(texts)) == 1
+
+
 def test_registry_checks_run_under_python_O(failure_kinds_under_O):
     """A second check under a used id is refused; a group algebra without a
     principal block fails a certificate."""

@@ -88,6 +88,35 @@ def test_weights_count_s5_p5():
         assert w.module.group.order() == 20
 
 
+def test_weights_of_one_q_share_one_normalizer_algebra():
+    """The four weights of S_5 at p = 5 have one Q and carry one k[N_G(Q)],
+    whose blocks block_of_weight reads; dropped with the weights, the
+    algebra is freed at once with the garbage collector off."""
+    import gc
+    import weakref
+
+    ga = blocks.GroupAlgebra(PermGroup.symmetric(5), gfq.GF.get(5))
+
+    def build():
+        ws = vertexweight.weights(ga.group, ga.field, seed=0)
+        gan = ws[0].normalizer_algebra
+        assert all(w.normalizer_algebra is gan for w in ws)
+        assert all(w.normalizer is gan.group for w in ws)
+        principal = ga.blocks(seed=0)[0]
+        assert all(vertexweight.block_of_weight(ga, w, seed=0) is principal
+                   for w in ws)
+        assert gan._blocks is not None
+        return weakref.ref(gan)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert build()() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_weight_count_equals_num_simples_a4_p2():
     F = gfq.GF.get(2, 2)
     g = PermGroup.alternating(4)
