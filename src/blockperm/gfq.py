@@ -15,12 +15,15 @@ on coefficient planes, e float64 products for GF(p^e), and reduces all its
 output planes at once.  Small products over GF(2^e) skip the planes: a
 code's bits are its coefficients, so they are a gather from the
 multiplication table and an XOR reduce.  The blocked prime-field echelon
-reduces once per block update.  Every reduction goes through _reduce, which
-is exact while the float64 entries stay below 2**51 in absolute value; each
-caller passes an a-priori bound from the shapes, and _reduce raises
-CertificateError if that bound could be exceeded.  Small echelon forms are
-whole-array row operations on int64 mod p or on the arithmetic tables.
-All row reduction is exact.
+reduces once per block update.  Every float64 reduction goes through
+_reduce, which is exact while the entries stay below 2**51 in absolute
+value; each caller passes an a-priori bound from the shapes, and _reduce
+raises CertificateError if that bound could be exceeded.  Small echelon
+forms are whole-array row operations on int64 mod p or on the arithmetic
+tables.  So is the incremental engine Echelon: it keeps a reduced copy of
+its rows, so a vector costs one product with the copy and, when it is new,
+one rank-1 update; Spin moves a whole frontier with one product.  All row
+reduction is exact.
 """
 
 import numpy as np
@@ -535,11 +538,21 @@ def inverse(field, A):
 class Echelon:
     """Semi-echelon rows grown one vector at a time.
 
-    add(v) reduces v against the rows held so far and keeps what is left,
-    scaled to a leading 1, if it is nonzero.  With track=n each row also
-    carries its coefficients in the (at most n) vectors offered so far, and
-    after a rejected vector, relation holds coefficients c with
-    sum_i c[i] * v_i == 0 and c == 1 at the rejected vector.
+    add(v) keeps the residual of v, scaled to a leading 1, if it is
+    nonzero: the vector of v + span(rows) that vanishes at every pivot held
+    so far.  On the pivot columns the rows are triangular with a unit
+    diagonal, so it is unique: what reducing v by the rows one at a time
+    leaves.  The engine finds it with one product, v - v[pivots] @ copy,
+    where the reduced copy of the rows is 1 at its own pivot and 0 at the
+    others; a new row is one rank-1 update of the copy rows that are
+    nonzero at its pivot.  No GF method runs per vector: the arithmetic is
+    int64 mod p, or the tables of an extension field.
+
+    With track=n each row also carries its coefficients in the (at most n)
+    vectors offered so far, as further columns of the copy, and after a
+    rejected vector, relation holds coefficients c with
+    sum_i c[i] * v_i == 0 and c == 1 at the rejected vector.  They involve
+    only accepted vectors, which are independent, so they are unique too.
     """
 
     def __init__(self, field, track=0):
@@ -550,33 +563,78 @@ class Echelon:
         self.coeffs = []
         self.offered = 0
         self.relation = None
+        # (n, n + track) at the first add of an n-vector; row i for pivot i
+        self._copy = None
+        self._piv = None
 
     def add(self, v):
         """Whether v was outside the span; if so, it is added."""
         F = self.field
-        red = np.asarray(v, dtype=np.int16)
-        co = None
+        v = np.asarray(v, dtype=np.int16)
+        n, k = v.shape[0], len(self.pivots)
+        dtype = np.int64 if F.e == 1 else np.int16
+        if self._copy is None:
+            self._copy = np.zeros((n, n + self.track), dtype=dtype)
+            self._piv = np.zeros(n, dtype=np.intp)
         if self.track:
-            co = np.zeros(self.track, dtype=np.int16)
-            co[self.offered] = 1
+            x = np.zeros(n + self.track, dtype=dtype)
+            x[:n] = v
+            x[n + self.offered] = 1
+        else:
+            x = v.astype(dtype)
         self.offered += 1
-        for i, (row, piv) in enumerate(zip(self.rows, self.pivots)):
-            c = red[piv]
-            if c:
-                red = F.sub(red, F.mul(np.int16(c), row))
-                if co is not None:
-                    co = F.sub(co, F.mul(np.int16(c), self.coeffs[i]))
-        nz = np.nonzero(red)[0]
-        if len(nz) == 0:
-            self.relation = co
+        if k:
+            x = self._minus_combination(x, self._copy[:k])
+        nz = np.flatnonzero(x[:n])
+        if not len(nz):
+            self.relation = x[n:].astype(np.int16) if self.track else None
             return False
         piv = int(nz[0])
-        inv = np.int16(F.inv(int(red[piv])))
-        self.rows.append(F.mul(inv, red))
+        inv = F._inv_table[x[piv]]
+        x = x * int(inv) % F.p if F.e == 1 else F._mul_table[inv, x]
+        col = self._copy[:k, piv]
+        live = np.flatnonzero(col)
+        if len(live):
+            self._copy[live] = self._minus_outer(self._copy[live], col[live],
+                                                 x)
+        self._copy[k] = x
+        self._piv[k] = piv
         self.pivots.append(piv)
-        if co is not None:
-            self.coeffs.append(F.mul(inv, co))
+        self.rows.append(x[:n].astype(np.int16))
+        if self.track:
+            self.coeffs.append(x[n:].astype(np.int16))
         return True
+
+    def _minus_combination(self, x, C):
+        """x - x[pivots] @ C for the first rows C of the copy."""
+        F = self.field
+        c = x[self._piv[:C.shape[0]]]
+        if F.e == 1:
+            return (x - c @ C) % F.p
+        if F.p == 2:
+            return x ^ np.bitwise_xor.reduce(F._mul_table[c[:, None], C])
+        P = F._planes
+        acc = P[x] - P[F._mul_table[c[:, None], C]].sum(axis=0)
+        return (acc % F.p @ F._powers).astype(np.int16)
+
+    def _minus_outer(self, A, c, x):
+        """A - c[:, None] * x."""
+        F = self.field
+        if F.e == 1:
+            return (A - c[:, None] * x) % F.p
+        if F.p == 2:
+            return A ^ F._mul_table[c[:, None], x]
+        return F._add_table[A, F._neg_table[F._mul_table[c[:, None], x]]]
+
+    def rref(self):
+        """The reduced echelon form of the span, (R, pivots) as echelon
+        returns it: the copy sorted by pivot.  The rows sorted by pivot are
+        in echelon form, so their pivots are those of the span, and the
+        basis of the span that is the identity on them is unique."""
+        order = np.argsort(self.pivots, kind="stable")
+        n = self._copy.shape[0]
+        return (self._copy[order, :n].astype(np.int16),
+                [self.pivots[i] for i in order])
 
 
 class Spin:
@@ -585,7 +643,10 @@ class Spin:
     raws[i] is the unreduced vector behind basis row i and tree[i] says how
     it arose: ('seed', s) for the s-th accepted seed, or ('mul', g, j) for
     mats[g] applied to raws[j].  Each accepted seed is closed breadth first
-    before the next one is offered.
+    before the next one is offered.  A frontier raws[i:j] of the closure
+    is moved by all of mats in one product, and the images are offered by
+    parent, then generator, the order of a queue that moves one vector at a
+    time.
     """
 
     def __init__(self, field, mats):
@@ -595,6 +656,8 @@ class Spin:
         self.raws = []
         self.tree = []
         self.nseeds = 0
+        # row r of raws @ gens is (M_0 r, M_1 r, ...) side by side
+        self._gens = np.hstack([M.T for M in mats]) if len(mats) else None
 
     def _take(self, v, tag):
         if not self.basis.add(v):
@@ -610,11 +673,13 @@ class Spin:
             return
         self.nseeds += 1
         i = len(self.raws) - 1
-        while i < len(self.raws):
-            for g, M in enumerate(self.mats):
-                w = self.field.matmul(M, self.raws[i][:, None])[:, 0]
-                self._take(w, ("mul", g, i))
-            i += 1
+        while self._gens is not None and i < len(self.raws):
+            j = len(self.raws)
+            images = self.field.matmul(np.array(self.raws[i:j]), self._gens)
+            for parent, row in enumerate(images, i):
+                for g, w in enumerate(row.reshape(len(self.mats), -1)):
+                    self._take(w, ("mul", g, parent))
+            i = j
 
 
 def spin_basis(field, mats, seeds):

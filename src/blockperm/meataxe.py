@@ -81,9 +81,12 @@ def eval_poly_at_matrix(field, f, M):
 
 
 def spin_rref(field, mats, seeds):
-    """Invariant span of seed row-vectors, returned in reduced echelon form."""
-    B, _, _ = gfq.spin_basis(field, mats, seeds)
-    return gfq.echelon(field, B)
+    """Invariant span of one or more seed row-vectors, returned in reduced
+    echelon form: the spin's reduced copy, sorted by pivot."""
+    spin = gfq.Spin(field, mats)
+    for v in seeds:
+        spin.seed(v)
+    return spin.basis.rref()
 
 
 def split_once(field, mats, rng, tries=60):

@@ -135,6 +135,28 @@ def test_vector_annihilator(p, e):
         assert polys.degree(f) == gfq.rank(F, np.array(krylov))
 
 
+@pytest.mark.parametrize("spec", ["5", "2^2", "3^2"])
+def test_greedy_spin_works_on_whole_frontiers(monkeypatch, spec):
+    """greedy_spin of k[S_5/C_5] (dim 24) makes no elementwise field call
+    and fewer products than its dimension: each add is one product with
+    the reduced copy, and each frontier one product with all generators."""
+    F = gfq.GF.parse(spec)
+    g = PermGroup.symmetric(5)
+    mats = GModule.permutation(g, g.sylow_subgroup(5), F).mats
+    calls = dict.fromkeys(["add", "sub", "mul", "neg", "inv", "matmul"], 0)
+    for name in calls:
+        real = getattr(gfq.GF, name)
+
+        def counting(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(gfq.GF, name, counting)
+    spin = meataxe.greedy_spin(F, mats)
+    assert len(spin.raws) == 24
+    assert calls.pop("matmul") < 24
+    assert calls == dict.fromkeys(calls, 0)
+
+
 def _hom_digest(homs):
     h = hashlib.sha1()
     for X in homs:

@@ -162,3 +162,151 @@ def test_trace_radical_of_polynomial_quotients(F, seed, da, db):
     R, piv = alg.radical_basis()
     R0, piv0 = meataxe.module_radical(F, alg.left_mats())
     assert np.array_equal(R, R0) and list(piv) == list(piv0)
+
+
+class _RefEchelon:
+    """The sequential engine the reduced copy replaced: add(v) reduces v
+    against the held rows one at a time."""
+
+    def __init__(self, field, track=0):
+        self.field = field
+        self.rows = []
+        self.pivots = []
+        self.track = track
+        self.coeffs = []
+        self.offered = 0
+        self.relation = None
+
+    def add(self, v):
+        F = self.field
+        red = np.asarray(v, dtype=np.int16)
+        co = None
+        if self.track:
+            co = np.zeros(self.track, dtype=np.int16)
+            co[self.offered] = 1
+        self.offered += 1
+        for i, (row, piv) in enumerate(zip(self.rows, self.pivots)):
+            c = red[piv]
+            if c:
+                red = F.sub(red, F.mul(np.int16(c), row))
+                if co is not None:
+                    co = F.sub(co, F.mul(np.int16(c), self.coeffs[i]))
+        nz = np.nonzero(red)[0]
+        if len(nz) == 0:
+            self.relation = co
+            return False
+        piv = int(nz[0])
+        inv = np.int16(F.inv(int(red[piv])))
+        self.rows.append(F.mul(inv, red))
+        self.pivots.append(piv)
+        if co is not None:
+            self.coeffs.append(F.mul(inv, co))
+        return True
+
+
+class _RefSpin:
+    """The spin that offered one image at a time, queue order."""
+
+    def __init__(self, field, mats):
+        self.field = field
+        self.mats = mats
+        self.basis = _RefEchelon(field)
+        self.raws = []
+        self.tree = []
+        self.nseeds = 0
+
+    def _take(self, v, tag):
+        if not self.basis.add(v):
+            return False
+        self.raws.append(v)
+        self.tree.append(tag)
+        return True
+
+    def seed(self, v):
+        if not self._take(np.asarray(v, dtype=np.int16),
+                          ("seed", self.nseeds)):
+            return
+        self.nseeds += 1
+        i = len(self.raws) - 1
+        while i < len(self.raws):
+            for g, M in enumerate(self.mats):
+                w = self.field.matmul(M, self.raws[i][:, None])[:, 0]
+                self._take(w, ("mul", g, i))
+            i += 1
+
+
+def _same_arrays(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip(xs, ys))
+
+
+def _invariant_mats(F, rng, n, ngens, split):
+    """ngens random n x n matrices that keep the span of the first split
+    unit vectors, so spins of vectors supported there stay proper."""
+    mats = []
+    for _ in range(ngens):
+        M = rng.integers(0, F.q, (n, n)).astype(np.int16)
+        M[split:, :split] = 0
+        mats.append(M)
+    return mats
+
+
+def _seed_rows(F, rng, k, n, split, rank):
+    """k seeds of rank at most rank: zero rows, repeats and vectors inside
+    the invariant block all occur."""
+    S = _matrix(F, rng, k, n, rank)
+    inside = rng.random(k) < 0.5
+    S[inside, split:] = 0
+    return S
+
+
+@settings(deadline=None, max_examples=200)
+@given(fields, seeds, dims, st.integers(0, 14), st.integers(0, 10),
+       st.booleans())
+def test_echelon_matches_sequential_reference(F, seed, n, k, rank, track):
+    """Accept flags, rows, pivots, coefficients and relations of the
+    reduced-copy engine equal those of reducing row by row."""
+    V = _matrix(F, np.random.default_rng(seed), k, n, rank)
+    eng = gfq.Echelon(F, track=k if track else 0)
+    ref = _RefEchelon(F, track=k if track else 0)
+    for v in V:
+        assert eng.add(v) == ref.add(v)
+        assert eng.pivots == ref.pivots
+        assert _same_arrays(eng.rows, ref.rows)
+        assert _same_arrays(eng.coeffs, ref.coeffs)
+        if ref.relation is None:
+            assert eng.relation is None
+        else:
+            assert _same_arrays([eng.relation], [ref.relation])
+    if eng.rows:
+        R, piv = eng.rref()
+        R0, piv0 = gfq.echelon(F, np.array(eng.rows))
+        assert piv == piv0 and R.tobytes() == R0.tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(fields, seeds, st.integers(1, 10), st.integers(0, 3),
+       st.integers(1, 4), st.integers(0, 10))
+def test_spin_matches_queue_reference(F, seed, n, ngens, k, rank):
+    """raws, tree, nseeds and rows of the frontier spin equal those of
+    the spin that moved one vector at a time; spin_rref is the echelon
+    form of spin_basis."""
+    rng = np.random.default_rng(seed)
+    split = int(rng.integers(0, n + 1))
+    mats = _invariant_mats(F, rng, n, ngens, split)
+    seeds_ = _seed_rows(F, rng, k, n, split, rank)
+    spin, ref = gfq.Spin(F, mats), _RefSpin(F, mats)
+    for v in seeds_:
+        spin.seed(v)
+        ref.seed(v)
+        assert spin.tree == ref.tree and spin.nseeds == ref.nseeds
+        assert _same_arrays(spin.raws, ref.raws)
+        assert spin.basis.pivots == ref.basis.pivots
+        assert _same_arrays(spin.basis.rows, ref.basis.rows)
+    B, piv, tree = gfq.spin_basis(F, mats, seeds_)
+    assert tree == ref.tree and piv == ref.basis.pivots
+    R, rpiv = meataxe.spin_rref(F, mats, seeds_)
+    R0, rpiv0 = gfq.echelon(F, B)
+    assert rpiv == rpiv0 and R.dtype == R0.dtype
+    assert R.shape == R0.shape and R.tobytes() == R0.tobytes()
