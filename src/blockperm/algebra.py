@@ -109,9 +109,6 @@ class FinDimAlgebra:
             self._radical = (R, piv)
         return self._radical
 
-    def is_semisimple(self):
-        return self.radical_basis()[0].shape[0] == 0
-
     def semisimple_quotient(self):
         """(Abar, proj, lift): proj maps coordinates onto A/J, lift embeds
         the complement back (proj @ lift.T-style section)."""

@@ -9,6 +9,14 @@ Those structure constants are read off the images of seeds that
 generate M (r x d.s numbers for an r-dim E, a d-dim M and s seeds),
 since a homomorphism is fixed by where it sends generators.
 
+decompose(m) on a module with a permutation basis (k[G/H] from
+GModule.permutation) gives each summand module the provenance (m, e), e
+the summand's first certifying idempotent, a kG-endomorphism of m in the
+permutation basis.  It is set on the fresh wrapper decompose returns,
+never in the record store, and it changes no record key and no hom
+route: vertexweight reads the summand's vertex off the Brauer quotients
+of e.
+
 hom_modules(m, n) takes one of three routes.  Out of k[G/H] from
 GModule.permutation, Frobenius reciprocity gives Hom(k[G/H], n) = n^H,
 and the basis is the maps of a basis of n^H.  Out of a certified
@@ -73,6 +81,9 @@ class GModule:
         # (k[G/H], rows, pivots) when self is a certified kG-summand of
         # k[G/H] with that RREF basis; see GroupAlgebra.coset_submodule
         self.ambient = None
+        # (V, e) when self is the summand eV of a module V with a
+        # permutation basis, e an idempotent of End(V); see decompose
+        self.provenance = None
         self._repcache = {}
 
     @staticmethod
@@ -108,17 +119,12 @@ class GModule:
         """Matrix of an arbitrary group element, via a generator word."""
         if g.img in self._repcache:
             return self._repcache[g.img]
-        word = self.group.generator_word(g)
         if self.tags is not None:
-            # permutation basis: compose index maps instead of matrices
-            img = np.arange(self.dim)
-            for s in reversed(word):
-                img = self.perm_images()[s][img]
             M = np.zeros((self.dim, self.dim), dtype=np.int16)
-            M[img, np.arange(self.dim)] = 1
+            M[self.perm_image(g), np.arange(self.dim)] = 1
         else:
             M = np.eye(self.dim, dtype=np.int16)
-            for s in word:
+            for s in self.group.generator_word(g):
                 M = self.field.matmul(M, self.mats[s])
         self._repcache[g.img] = M
         return M
@@ -129,6 +135,15 @@ class GModule:
         if not hasattr(self, "_perm_imgs"):
             self._perm_imgs = [np.argmax(M, axis=0) for M in self.mats]
         return self._perm_imgs
+
+    def perm_image(self, g):
+        """On a permutation basis: the basis vector that the group element
+        g sends each basis vector to, the index maps of the generators
+        composed along a generator word of g."""
+        img = np.arange(self.dim)
+        for s in reversed(self.group.generator_word(g)):
+            img = self.perm_images()[s][img]
+        return img
 
     def dual(self):
         mats = [gfq.inverse(self.field, M).T.copy() for M in self.mats]
@@ -409,13 +424,19 @@ def decompose(m, seed=0):
     """Indecomposable direct summands of m, grouped by isomorphism.
 
     Returns a list of Summand objects; certifying idempotents are the images
-    of the primitive idempotents of End(m)."""
+    of the primitive idempotents of End(m).  When m has a permutation
+    basis, each summand module carries (m, e) as its provenance, e its
+    first certifying idempotent (see vertexweight)."""
     record = _recall(m, "decompose", lambda: [
         (x.module.mats, x.multiplicity, x.embeddings, x.idempotents)
         for x in _decompose(m, seed)], seed)
-    return [Summand(GModule(m.group, m.field, mats, dim=emb[0].shape[0]),
-                    mult, list(emb), list(idems))
-            for mats, mult, emb, idems in record]
+    out = []
+    for mats, mult, emb, idems in record:
+        sub = GModule(m.group, m.field, mats, dim=emb[0].shape[0])
+        if m.tags is not None:
+            sub.provenance = (m, idems[0])
+        out.append(Summand(sub, mult, list(emb), list(idems)))
+    return out
 
 
 def _decompose(m, seed):

@@ -36,16 +36,8 @@ def degree(f):
     return len(f) - 1
 
 
-def is_zero(f):
-    return len(f) == 0
-
-
 def constant(field, c):
     return normalize([c])
-
-
-def x_poly():
-    return np.array([0, 1], dtype=np.int16)
 
 
 def _add(T, f, g):
@@ -120,25 +112,12 @@ def mul(field, f, g):
     return _arr(_mul(field.tables(), _lst(f), _lst(g)))
 
 
-def divmod_poly(field, f, g):
-    q, r = _divmod(field.tables(), _lst(f), _lst(g))
-    return _arr(q), _arr(r)
-
-
 def monic(field, f):
     return _arr(_monic(field.tables(), _lst(f)))
 
 
 def gcd(field, f, g):
     return _arr(_gcd(field.tables(), _lst(f), _lst(g)))
-
-
-def eval_at(field, f, c):
-    A, M = field.tables()[:2]
-    acc = 0
-    for a in reversed(_lst(f)):
-        acc = A[M[acc][c]][a]
-    return acc
 
 
 def _derivative(field, f):
@@ -187,12 +166,6 @@ def _squarefree(field, f):
 
     walk(_monic(T, f), 1)
     return sorted(((g, m) for m, g in out.items()), key=lambda t: t[1])
-
-
-def squarefree_decomposition(field, f):
-    """List of (g_i, i) with f = prod g_i^i (up to the leading unit), g_i
-    squarefree and pairwise coprime."""
-    return [(_arr(g), m) for g, m in _squarefree(field, _lst(f))]
 
 
 def _distinct_degree(field, f):

@@ -115,16 +115,6 @@ def character_table(n):
     return parts, parts, table
 
 
-def inner_product(n, chi, psi):
-    """<chi, psi> over S_n for class functions given as value lists aligned
-    with partitions(n); exact Fraction."""
-    parts = partitions(n)
-    acc = Fraction(0)
-    for mu, a, b in zip(parts, chi, psi):
-        acc += Fraction(class_size(mu) * a * b)
-    return acc / factorial(n)
-
-
 def p_core(lam, p):
     """The p-core: remove border strips of length p until none remain."""
     lam = tuple(lam)

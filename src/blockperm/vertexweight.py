@@ -1,9 +1,27 @@
 """Relative projectivity, vertices, weights and Green correspondence.
 
-Relative projectivity is decided with Higman's criterion: a module M is
-projective relative to a subgroup Q exactly when the identity endomorphism
-lies in the image of the relative trace map Tr^G_Q on End_kQ(M).  The trace
-is evaluated through the chain Q <= N_G(Q) <= G so transversals stay short.
+The vertex of an indecomposable module M is decided by one of two
+criteria.
+
+* Brauer quotients, for a summand M = eV of a module V with a permutation
+  basis (the provenance (V, e) that modules.decompose sets on the
+  summands of k[G/H]).  M is then a p-permutation module, and M(Q) != 0
+  exactly when Q is subconjugate to the vertex (Broue, On Scott modules
+  and p-permutation modules, Proc. AMS 93, 1985; Thevenaz, G-Algebras
+  and Modular Representation Theory, section 27).  M(Q) is the image of
+  Br_Q(e) on V(Q), and in the permutation basis Br_Q(e) is e restricted
+  to the basis points that Q fixes.  So the vertex is the first class,
+  scanning from the largest down, on which that restriction is nonzero.
+* Higman's criterion, for every other module (Green correspondents,
+  GModule.trivial): M is projective relative to a subgroup Q exactly when
+  the identity endomorphism lies in the image of the relative trace map
+  Tr^G_Q on End_kQ(M).  The trace is evaluated through the chain
+  Q <= N_G(Q) <= G so transversals stay short, and the vertex is the
+  first class, scanning from the smallest up, relative to which M is
+  projective.
+
+Both scans return the same class representative of
+PermGroup.p_subgroups_up_to_conjugacy: the class of the vertex.
 """
 
 import numpy as np
@@ -84,32 +102,49 @@ def _p_valuation(n, p):
 
 
 class VertexCertificate:
-    """A vertex along with the relative-projectivity verdicts that led to
-    it, one (subgroup order, verdict) per tested subgroup class."""
+    """A vertex along with the verdicts that led to it, one (subgroup
+    order, verdict) per tested subgroup class, and the route that decided
+    them.  On route "higman" a verdict says whether the module is
+    projective relative to the class (classes tested from the smallest
+    up); on route "brauer" it says whether the Brauer construction M(Q)
+    is nonzero (classes tested from the largest down)."""
 
-    def __init__(self, module, vertex, witnesses):
+    def __init__(self, module, vertex, witnesses, route):
         self.module = module
         self.vertex = vertex
         self.witnesses = witnesses
+        self.route = route
 
     def __repr__(self):
-        return "VertexCertificate(|Q|=%d)" % self.vertex.order()
+        return "VertexCertificate(|Q|=%d, %s)" % (self.vertex.order(),
+                                                  self.route)
 
 
 def vertex_certificate(m):
     """Vertex of m with the tested-class record.
 
-    The p-subgroup classes are scanned in ascending order; the first class
-    relative to which m is projective is the vertex.  Only meaningful for
-    indecomposable m, where the vertex is unique up to conjugacy.  The
-    answer is kept in the record store of m's group (see modules).
+    Only meaningful for indecomposable m, where the vertex is unique up to
+    conjugacy.  A summand of a permutation module with its provenance
+    takes the Brauer route, any other module Higman's (module docstring).
+    The answer is kept in the record store of m's group (see modules),
+    keyed by m's matrices and not by its provenance: a plain module with
+    the same matrices is the same module, its vertex class depends only
+    on the module, and both routes return that class's representative,
+    so sharing the record is sound.
     """
-    q, witnesses = modules._recall(m, "vertex", lambda: _vertex(m))
-    return VertexCertificate(m, q, list(witnesses))
+    q, witnesses, route = modules._recall(m, "vertex", lambda: _vertex(m))
+    return VertexCertificate(m, q, list(witnesses), route)
 
 
 def _vertex(m):
-    """vertex_certificate's answer as (vertex, witnesses)."""
+    """vertex_certificate's answer as (vertex, witnesses, route)."""
+    if m.provenance is not None:
+        return _brauer_vertex(m) + ("brauer",)
+    return _higman_vertex(m) + ("higman",)
+
+
+def _higman_vertex(m):
+    """(vertex, witnesses) by Higman's criterion, classes ascending."""
     g = m.group
     p = m.field.p
     classes = g.p_subgroups_up_to_conjugacy(p)
@@ -126,44 +161,46 @@ def _vertex(m):
     raise gfq.CertificateError("no vertex found; Sylow should always work")
 
 
+def _brauer_vertex(m):
+    """(vertex, witnesses) of m = eV from the Brauer quotients of e,
+    classes descending.
+
+    e must be an idempotent kG-endomorphism of V; both are checked.  The
+    scan stops at the first class Q with Br_Q(e) != 0, so Br_R(e) = 0 on
+    every class R tested before it; the trivial class is last, and
+    Br_1(e) = e is nonzero."""
+    V, e = m.provenance
+    F = m.field
+    if not np.array_equal(F.matmul(e, e), e):
+        raise gfq.CertificateError("provenance idempotent is not one")
+    for img in V.perm_images():
+        # (e P_s)[:, j] = e[:, img[j]] and (P_s e)[img[i], :] = e[i, :]
+        if not np.array_equal(e[:, img], e[np.argsort(img)]):
+            raise gfq.CertificateError("provenance idempotent is not a "
+                                       "kG-endomorphism")
+    witnesses = []
+    for q in reversed(m.group.p_subgroups_up_to_conjugacy(F.p)):
+        fixed = fixed_basis_points(V, q)
+        hit = bool(e[np.ix_(fixed, fixed)].any())
+        witnesses.append((q.order(), hit))
+        if hit:
+            return q, witnesses
+    raise gfq.CertificateError("Br_Q(e) vanishes on every p-subgroup class")
+
+
+def fixed_basis_points(v, q):
+    """The basis points of a module with a permutation basis that every
+    element of q fixes, ascending."""
+    fixed = np.ones(v.dim, dtype=bool)
+    for u in q.generators:
+        fixed &= v.perm_image(u) == np.arange(v.dim)
+    return np.flatnonzero(fixed)
+
+
 def vertex(m):
     """A vertex of m, as one of the group's p-subgroup class
     representatives."""
     return vertex_certificate(m).vertex
-
-
-def brauer_construction(m, q):
-    """The Brauer construction M(Q) of a module with a permutation basis.
-
-    The Q-fixed basis points span a complement-stable subspace mod the
-    span of the nontrivial orbits; N_G(Q) permutes the fixed points, and
-    M(Q) is returned as a module over the normalizer (over G itself when
-    Q is trivial).
-    """
-    if m.tags is None:
-        raise ValueError("module has no declared permutation basis")
-    F = m.field
-    g = m.group
-    if q.order() == 1:
-        return m
-    n = g.normalizer(q).with_small_generators()
-    fixed = list(range(m.dim))
-    for u in q.generators:
-        M = m.rep_of(u)
-        fixed = [j for j in fixed if M[j, j] == 1]
-    idx = {j: a for a, j in enumerate(fixed)}
-    mats = []
-    for s in n.generators:
-        M = m.rep_of(s)
-        out = np.zeros((len(fixed), len(fixed)), dtype=np.int16)
-        for a, j in enumerate(fixed):
-            col = np.nonzero(M[:, j])[0]
-            if len(col) != 1 or M[col[0], j] != 1:
-                raise ValueError("action is not by permutation matrices")
-            out[idx[int(col[0])], a] = 1
-        mats.append(out)
-    return GModule(n, F, mats, name="brauer(%s)" % (m.name or "M"),
-                   dim=len(fixed))
 
 
 def green_correspondent(x, big, q, seed=0):

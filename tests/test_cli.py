@@ -43,6 +43,22 @@ def test_decompose_with_subgroup_and_vertices(capsys):
     assert all("vertex_order" in e for e in data["summands"])
 
 
+@pytest.mark.parametrize("argv,want", [
+    (("vertex", "--group", "sym:4", "--field", "2", "--subgroup",
+      "sylow:sym:4:3"), [[8, 1, 1]]),
+    (("decompose", "--group", "sym:5", "--field", "2", "--subgroup",
+      "sylow:sym:5:2", "--vertices"), [[1, 1, 8], [4, 1, 2], [10, 1, 4]])])
+def test_vertex_orders_pinned(capsys, argv, want):
+    """(dim, multiplicity, vertex order) of each summand, as printed
+    before vertices of permutation-module summands came from Brauer
+    quotients."""
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+    got = [[e["dim"], e["multiplicity"], e["vertex_order"]]
+           for e in json.loads(out)["summands"]]
+    assert got == want
+
+
 def test_source_perm(capsys):
     code, out = run(capsys, "source-perm", "--group", "sym:5", "--field",
                     "5", "--json")

@@ -4,6 +4,36 @@ import pytest
 from blockperm import blocks, gfq, meataxe, modules, vertexweight
 from blockperm.modules import GModule
 from blockperm.permgrp import PermGroup, parse_group
+from test_cli import _python_O
+
+
+def brauer_construction(m, q):
+    """The Brauer construction M(Q) of a module with a permutation basis.
+
+    The Q-fixed basis points span a complement-stable subspace mod the
+    span of the nontrivial orbits; N_G(Q) permutes the fixed points, and
+    M(Q) is returned as a module over the normalizer (over G itself when
+    Q is trivial).
+    """
+    if m.tags is None:
+        raise ValueError("module has no declared permutation basis")
+    if q.order() == 1:
+        return m
+    n = m.group.normalizer(q).with_small_generators()
+    fixed = vertexweight.fixed_basis_points(m, q)
+    idx = {int(j): a for a, j in enumerate(fixed)}
+    mats = []
+    for s in n.generators:
+        M = m.rep_of(s)
+        out = np.zeros((len(fixed), len(fixed)), dtype=np.int16)
+        for a, j in enumerate(fixed):
+            col = np.nonzero(M[:, j])[0]
+            if len(col) != 1 or M[col[0], j] != 1:
+                raise ValueError("action is not by permutation matrices")
+            out[idx[int(col[0])], a] = 1
+        mats.append(out)
+    return GModule(n, m.field, mats, name="brauer(%s)" % (m.name or "M"),
+                   dim=len(fixed))
 
 
 def test_relative_trace_span_trivial_subgroup_rejected():
@@ -50,10 +80,10 @@ def test_brauer_construction_of_permutation_module():
     p = g.sylow_subgroup(2)
     # no 2-group fixes a coset of C3, so the construction vanishes
     m3 = GModule.permutation(g, g.sylow_subgroup(3), F)
-    assert vertexweight.brauer_construction(m3, p).dim == 0
+    assert brauer_construction(m3, p).dim == 0
     # on G/P the Sylow fixes exactly its own coset (P is self-normalizing)
     mp = GModule.permutation(g, p, F)
-    br = vertexweight.brauer_construction(mp, p)
+    br = brauer_construction(mp, p)
     assert br.dim == 1
     assert br.group.order() == 8
 
@@ -62,7 +92,7 @@ def test_brauer_construction_trivial_q_is_identity():
     F = gfq.GF.get(2)
     g = PermGroup.symmetric(3)
     m = GModule.permutation(g, g.trivial_subgroup(), F)
-    br = vertexweight.brauer_construction(m, g.trivial_subgroup())
+    br = brauer_construction(m, g.trivial_subgroup())
     assert br.dim == m.dim
 
 
@@ -180,4 +210,95 @@ def test_brauer_construction_refuses_a_module_without_permutation_basis():
     g = parse_group("sym:3")
     m = GModule.trivial(g, gfq.GF.get(3))
     with pytest.raises(ValueError, match="no declared permutation basis"):
-        vertexweight.brauer_construction(m, g.sylow_subgroup(3))
+        brauer_construction(m, g.sylow_subgroup(3))
+
+
+def _route_equality_cases():
+    cases = []
+    for spec in ("sym:3", "sym:4", "sym:5", "alt:4", "alt:5"):
+        order = parse_group(spec).order()
+        cases += [(spec, (p, 1)) for p in (2, 3, 5) if order % p == 0]
+    return cases + [("alt:4", (2, 2)), ("sym:4", (2, 2)), ("alt:5", (2, 2))]
+
+
+@pytest.mark.parametrize("spec,field", _route_equality_cases())
+def test_brauer_route_returns_higman_vertex(spec, field):
+    """Every summand of k[G/H], for H a p-subgroup class representative or
+    a Sylow subgroup of index <= 60, takes the Brauer route, and its
+    vertex is the very class representative Higman's criterion returns on
+    a plain copy of the summand, which has no provenance."""
+    g = parse_group(spec)
+    F = gfq.GF.get(*field)
+    subs = [g.sylow_subgroup(r) for r in (2, 3, 5) if g.order() % r == 0]
+    subs += g.p_subgroups_up_to_conjugacy(F.p)
+    count = 0
+    for h in subs:
+        if g.order() // h.order() > 60:
+            continue
+        m = GModule.permutation(g, h, F)
+        for s in modules.decompose(m, seed=0):
+            assert s.module.provenance[0] is m
+            cert = vertexweight.vertex_certificate(s.module)
+            assert cert.route == "brauer"
+            plain = GModule(g, F, s.module.mats, dim=s.module.dim)
+            want, _witnesses = vertexweight._higman_vertex(plain)
+            assert cert.vertex is want
+            assert cert.witnesses[-1] == (want.order(), True)
+            assert not any(hit for _o, hit in cert.witnesses[:-1])
+            count += 1
+    assert count > 0
+    # the trivial module has a summand's matrices, and so its record; on a
+    # fresh group it has no record and takes Higman's route
+    triv = GModule.trivial(g, F)
+    assert vertexweight.vertex_certificate(triv).route == "brauer"
+    triv = GModule.trivial(parse_group(spec), F)
+    assert vertexweight.vertex_certificate(triv).route == "higman"
+
+
+@pytest.mark.parametrize("spec,p,want", [
+    ("sym:6", 3, [[1, 1, 9], [1, 1, 9], [9, 1, 1], [9, 1, 1], [10, 1, 9],
+                  [10, 1, 9], [20, 2, 9]]),
+    ("alt:6", 2, [[1, 1, 8], [14, 1, 4], [14, 1, 4], [16, 1, 1]])])
+def test_sylow_permutation_summands_need_no_relative_trace(monkeypatch, spec,
+                                                           p, want):
+    """The summands of k[G/Syl_p] get their vertices from Brauer quotients
+    alone: with the relative trace and the projectivity test made to
+    raise, they still get the vertex orders the benchmark records."""
+    def refuse(*args):
+        raise AssertionError("Higman's criterion was run")
+
+    monkeypatch.setattr(vertexweight, "relative_trace_span", refuse)
+    monkeypatch.setattr(modules, "is_projective", refuse)
+    g = parse_group(spec)
+    m = GModule.permutation(g, g.sylow_subgroup(p), gfq.GF.get(p))
+    got = sorted([s.module.dim, s.multiplicity,
+                  vertexweight.vertex(s.module).order()]
+                 for s in modules.decompose(m, seed=0))
+    assert got == want
+
+
+def test_brauer_route_certificates_run_under_python_O():
+    """k[S_3/C_2] over GF(3) is one projective summand with e = 1.  A
+    provenance idempotent that is not idempotent (2e), or that is an
+    idempotent but no kG-map (a matrix unit), raises CertificateError with
+    asserts stripped."""
+    script = "\n".join([
+        "import numpy as np",
+        "from blockperm import gfq, modules, vertexweight",
+        "from blockperm.permgrp import PermGroup",
+        "for bad in (lambda e: 2 * e, lambda e: np.diag([1, 0, 0])):",
+        "    g = PermGroup.symmetric(3)",
+        "    m = modules.GModule.permutation(g, g.sylow_subgroup(2),",
+        "                                    gfq.GF.get(3))",
+        "    [s] = modules.decompose(m, seed=0)",
+        "    v, e = s.module.provenance",
+        "    s.module.provenance = (v, bad(e).astype(np.int16))",
+        "    try:",
+        "        vertexweight.vertex(s.module)",
+        "    except gfq.CertificateError as exc:",
+        "        print(exc)"])
+    proc = _python_O("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "provenance idempotent is not one",
+        "provenance idempotent is not a kG-endomorphism"]
