@@ -29,7 +29,6 @@ import numpy as np
 
 from . import gfq
 from . import meataxe
-from . import polys
 from .algebra import FinDimAlgebra
 from .modules import GModule, coset_maps
 from .permgrp import ResourceCap, orbit_labels
@@ -57,6 +56,7 @@ class GroupAlgebra:
         self._itype = np.int16 if self.n < 2 ** 15 else np.int32
         self._classes = None
         self._center = None
+        self._frobenius = None  # see _frobenius_power
         self._blocks = None
         self._cosets = {}
         self._centralizers = {}
@@ -310,27 +310,55 @@ class GroupAlgebra:
         return gfq.rank(self.field, self.field.matmul(rows, sums))
 
     def central_character(self, evec_coords):
-        """For a block idempotent in class-sum coords: the scalar by which
-        each class sum acts on the block, as a tuple of field codes."""
-        Z = self.center_algebra()
-        c = Z.dim
+        """For a block idempotent e in class-sum coords: the scalar by
+        which each class sum acts on the block, as a tuple of field codes.
+
+        C_a e = w_a e + n_a with n_a in the radical of Z e, so n_a^Q = 0
+        for Q >= dim Z.  So for Q a power of q, z -> z^Q (_frobenius_power)
+        sends C_a e to w_a^Q e = w_a e for every a at once.
+        CertificateError is raised unless each image is a multiple of e,
+        as for a block that is not split over the field or a sum of two
+        blocks."""
         F = self.field
-        out = []
-        for a in range(c):
-            delta = np.zeros(c, dtype=np.int16)
-            delta[a] = 1
-            y = Z.multiply(delta, evec_coords)
-            # minpoly of y on the corner Z e, cyclic with generator e
-            mp = meataxe.vector_annihilator(F, Z.lmul_of(y), evec_coords)
-            roots = set()
-            for f, _m in polys.factor(F, mp):
-                if polys.degree(f) != 1:
-                    raise gfq.CertificateError("irrational central value")
-                roots.add(int(F.neg(np.int16(f[0]))))
-            if len(roots) != 1:
-                raise gfq.CertificateError("%d central values" % len(roots))
-            out.append(roots.pop())
-        return tuple(out)
+        e = np.asarray(evec_coords, dtype=np.int16)
+        if not e.any():
+            raise gfq.CertificateError("the zero idempotent has no block")
+        # column a is the image of C_a e
+        img = F.matmul(self._frobenius_power(),
+                       self.center_algebra().lmul_of(e))
+        k = int(np.flatnonzero(e)[0])
+        omega = F.mul(img[k], F.inv(e[k]))
+        if not np.array_equal(img, F.mul(e[:, None], omega[None, :])):
+            raise gfq.CertificateError("a class sum does not act on the "
+                                       "block as a scalar")
+        return tuple(int(w) for w in omega)
+
+    def _frobenius_power(self):
+        """Matrix of z -> z^Q on Z(kG) in class-sum coords, Q the least
+        power of q with Q >= dim Z, built once per group algebra.  Z is
+        commutative of characteristic p, so z -> z^q is additive and fixes
+        GF(q): it is linear, and so is this power of it.  Column a is C_a^Q,
+        by repeated squaring of all class sums at once."""
+        if self._frobenius is None:
+            F, Z = self.field, self.center_algebra()
+            c = Z.dim
+            table = Z.mult.reshape(c, c * c)
+
+            def times(X, Y):
+                # row r of the result is the product of the r-th rows
+                T = F.matmul(X, table).reshape(c, c, c)
+                return F.sum(F.mul(Y[:, :, None], T), axis=1)
+
+            Q = F.q
+            while Q < c:
+                Q *= F.q
+            power, base = np.tile(Z.one, (c, 1)), np.eye(c, dtype=np.int16)
+            while Q:
+                if Q & 1:
+                    power = times(power, base)
+                base, Q = times(base, base), Q >> 1
+            self._frobenius = power.T.copy()
+        return self._frobenius
 
 
 def _subgroup_key(h):

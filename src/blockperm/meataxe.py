@@ -359,7 +359,9 @@ def composition_factors(field, mats, seed=0):
         kind, B, piv = split_once(field, mats_cur, rng)
         if kind == "irreducible":
             for i, (s, cnt) in enumerate(simples):
-                if is_isomorphic_simple(field, s, mats_cur):
+                # equal matrices are the same module: no hom space needed
+                if all(np.array_equal(a, b) for a, b in zip(s, mats_cur)) \
+                        or is_isomorphic_simple(field, s, mats_cur):
                     simples[i] = (s, cnt + 1)
                     return
             simples.append((mats_cur, 1))
@@ -375,53 +377,64 @@ def composition_factors(field, mats, seed=0):
 
 def module_radical(field, mats, seed=0, simples=None):
     """RREF row basis of rad M: the joint kernel of all homs to simples."""
-    n = module_dim(mats)
     if simples is None:
         simples = [s for s, _ in composition_factors(field, mats, seed)]
-    rows = []
+    return _hom_kernel(field, mats, simples)[:2]
+
+
+def _hom_kernel(field, mats, simples):
+    """(rows, pivots, dims): the RREF basis of the joint kernel of all homs
+    from mats to the simples, and dim Hom(mats, S) for each simple S.  With
+    no hom at all the basis is empty."""
+    n = module_dim(mats)
+    rows, dims = [], []
     for s in simples:
-        for X in hom_space(field, mats, s):
-            rows.append(X)
+        homs = hom_space(field, mats, s)
+        rows.extend(homs)
+        dims.append(len(homs))
     if not rows:
-        return np.zeros((0, n), dtype=np.int16), []
+        return np.zeros((0, n), dtype=np.int16), [], dims
     R, piv = gfq.echelon(field, gfq.nullspace(field, np.vstack(rows)))
-    return R, piv
-
-
-def module_socle(field, mats, seed=0, simples=None):
-    """RREF row basis of soc M: the sum of images of all homs from simples."""
-    n = module_dim(mats)
-    if simples is None:
-        simples = [s for s, _ in composition_factors(field, mats, seed)]
-    rows = []
-    for s in simples:
-        for X in hom_space(field, s, mats):
-            rows.append(X.T)
-    if not rows:
-        return np.zeros((0, n), dtype=np.int16), []
-    return gfq.echelon(field, np.vstack(rows))
+    return R, piv, dims
 
 
 def radical_series(field, mats, seed=0, simples=None):
     """Descending chain M > rad M > rad^2 M > ... > 0 as row bases in the
     coordinates of M, plus the Loewy layer factor lists.
 
-    Returns (layers, chain) where layers[i] is the list of
-    (simple_mats, multiplicity) in rad^i M / rad^(i+1) M.  simples, when
-    given, are the simples of composition_factors(field, mats, seed).
+    Returns (layers, chain) where layers[i] lists (S, multiplicity) for
+    the simples S in rad^i M / rad^(i+1) M, each S one of simples (the
+    same matrices), in their order.  simples, when given, are the simples
+    of composition_factors(field, mats, seed), one per isomorphism class.
+
+    No layer is chopped.  The top of rad^i M is semisimple, so
+    Hom(rad^i M, S) = Hom(rad^i M / rad^(i+1) M, S) = End(S)^m for the
+    multiplicity m of S in the layer: m is dim Hom / dim End(S), and the
+    homs are those whose joint kernel is rad^(i+1) M.  CertificateError
+    is raised unless each dim Hom is a multiple of dim End(S) and the
+    layer's sum of m dim S is its dimension.  A simple missing from
+    simples is caught there too: the chain stops at a nonzero module
+    with no hom to any simple, whose empty kernel basis leaves the sum 0.
     """
     n = module_dim(mats)
     if simples is None:
         simples = [s for s, _ in composition_factors(field, mats, seed)]
+    ends = [len(hom_space(field, s, s)) for s in simples]
     chain = [np.eye(n, dtype=np.int16)]
     layers = []
     cur_mats = mats
     cur_basis = np.eye(n, dtype=np.int16)
     while module_dim(cur_mats) > 0:
         # every composition factor of rad^i M is one of M
-        R, piv = module_radical(field, cur_mats, seed, simples=simples)
-        quo, _ = quotient_by_submodule(field, cur_mats, R, piv)
-        layers.append(composition_factors(field, quo, seed))
+        R, piv, dims = _hom_kernel(field, cur_mats, simples)
+        if any(d % end for d, end in zip(dims, ends)):
+            raise gfq.CertificateError("dim Hom(rad^i M, S) is not a "
+                                       "multiple of dim End(S)")
+        layer = [(s, d // end) for s, d, end in zip(simples, dims, ends) if d]
+        if sum(module_dim(s) * m for s, m in layer) != \
+                module_dim(cur_mats) - R.shape[0]:
+            raise gfq.CertificateError("Loewy layer of the wrong dimension")
+        layers.append(layer)
         if R.shape[0] == 0:
             break
         cur_basis = gfq.echelon(field, field.matmul(R, cur_basis))[0]

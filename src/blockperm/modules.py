@@ -46,6 +46,10 @@ not refer to the group.  It never holds a GModule, which would refer back
 to the group and leave a cycle that only a full garbage collection frees;
 callers get fresh GModule, Summand and FinDimAlgebra wrappers around the
 stored arrays.  A SimpleRegistry keeps its own labels by matrix bytes.
+The module's composition factors are its only chop: the Loewy layers
+are read off hom dimensions into them, and the socle layers off hom
+dimensions into their transposes, so the registry meets the same
+matrices again and labels them by their bytes.
 """
 
 import numpy as np
@@ -236,13 +240,10 @@ def _frozen(x):
     return x
 
 
-def _recall(m, kind, compute, *args, mats=None):
+def _recall(m, kind, compute, *args):
     """The answer to question kind (with args) about m, from the record
-    store of m's group; compute() gives it on the first ask.  mats, when
-    given, stand for m's matrices in the key (socle_layers asks about the
-    transposes)."""
-    mats = m.mats if mats is None else mats
-    key = (kind, m.field, m.dim, _route(m), _mats_key(mats)) + args
+    store of m's group; compute() gives it on the first ask."""
+    key = (kind, m.field, m.dim, _route(m), _mats_key(m.mats)) + args
     store = m.group._records
     if key not in store:
         store[key] = _frozen(compute())
@@ -545,27 +546,35 @@ class SimpleRegistry:
         return lab
 
 
-def _factors(m, seed, mats):
-    """composition_factors of mats, m's matrices or their transposes."""
-    return _recall(m, "factors",
-                   lambda: meataxe.composition_factors(m.field, mats, seed),
-                   seed, mats=mats)
+def _factors(m, seed):
+    """composition_factors of m."""
+    return _recall(m, "factors", lambda: meataxe.composition_factors(
+        m.field, m.mats, seed), seed)
 
 
-def _radical_layers(m, seed, mats):
-    """The layers of radical_series of mats, m's matrices or their
-    transposes."""
+def _radical_layers(m, seed, transposed=False):
+    """The layers of radical_series of m's matrices, or of their
+    transposes, on the simples of _factors(m, seed) or their transposes.
+
+    The transposes need no chop of their own.  A composition series
+    0 = M_0 < M_1 < ... < M_r = M gives the annihilators M_i^perp, a
+    composition series for the transposed matrices whose factors
+    M_(i-1)^perp / M_i^perp are the transposes of the M_i / M_(i-1)."""
     def compute():
-        simples = [s for s, _ in _factors(m, seed, mats)]
+        simples = [s for s, _ in _factors(m, seed)]
+        mats = m.mats
+        if transposed:
+            mats = [M.T for M in mats]
+            simples = [[S.T.copy() for S in s] for s in simples]
         return meataxe.radical_series(m.field, mats, seed, simples)[0]
-    return _recall(m, "layers", compute, seed, mats=mats)
+    return _recall(m, "socle" if transposed else "layers", compute, seed)
 
 
 def loewy_layers(m, registry=None, seed=0):
     """Radical layers of m as sorted lists of simple labels (with repeats)."""
     registry = registry or SimpleRegistry(m.field)
     out = []
-    for layer in _radical_layers(m, seed, m.mats):
+    for layer in _radical_layers(m, seed):
         labs = []
         for s, mult in layer:
             labs.extend([registry.label(s)] * mult)
@@ -574,11 +583,13 @@ def loewy_layers(m, registry=None, seed=0):
 
 
 def socle_layers(m, registry=None, seed=0):
-    """Socle series layers, via the radical series of the dual: the labels
-    are of the dual simples' duals, computed directly on duals."""
+    """Socle series layers, top first: the radical series of the
+    transposed matrices, read backwards.  Its simples are the transposes
+    of m's composition factors, and each is labelled by the factor it is
+    the transpose of."""
     registry = registry or SimpleRegistry(m.field)
     out = []
-    for layer in _radical_layers(m, seed, [M.T for M in m.mats]):
+    for layer in _radical_layers(m, seed, transposed=True):
         labs = []
         for s, mult in layer:
             labs.extend([registry.label([M.T.copy() for M in s])] * mult)
@@ -589,7 +600,7 @@ def socle_layers(m, registry=None, seed=0):
 def composition_factor_labels(m, registry=None, seed=0):
     registry = registry or SimpleRegistry(m.field)
     out = {}
-    for s, mult in _factors(m, seed, m.mats):
+    for s, mult in _factors(m, seed):
         out[registry.label(s)] = mult
     return out
 

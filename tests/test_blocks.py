@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockperm import blocks, gfq, meataxe, modules
+from blockperm import blocks, gfq, meataxe, modules, polys
 from blockperm.permgrp import Perm, PermGroup, ResourceCap, parse_group
 
 
@@ -69,6 +69,90 @@ def test_central_characters_separate_blocks():
     ga = blocks.GroupAlgebra(PermGroup.symmetric(4), F)
     chars = [b.central_character() for b in ga.blocks(seed=0)]
     assert len(set(chars)) == len(chars)
+
+
+def _minpoly_central_character(ga, evec_coords):
+    """central_character by minimal polynomials: C_a acts on the block as
+    the one root of the minimal polynomial of C_a e on Z e."""
+    Z = ga.center_algebra()
+    F = ga.field
+    out = []
+    for a in range(Z.dim):
+        delta = np.zeros(Z.dim, dtype=np.int16)
+        delta[a] = 1
+        y = Z.multiply(delta, evec_coords)
+        mp = meataxe.vector_annihilator(F, Z.lmul_of(y), evec_coords)
+        roots = set()
+        for f, _m in polys.factor(F, mp):
+            if polys.degree(f) != 1:
+                raise gfq.CertificateError("irrational central value")
+            roots.add(int(F.neg(np.int16(f[0]))))
+        if len(roots) != 1:
+            raise gfq.CertificateError("%d central values" % len(roots))
+        out.append(roots.pop())
+    return tuple(out)
+
+
+def _character_or_cert(f, ga, coords):
+    try:
+        return f(ga, coords)
+    except gfq.CertificateError:
+        return "cert"
+
+
+@pytest.mark.parametrize("group", ["sym:3", "sym:4", "sym:5", "alt:4",
+                                   "alt:5", "cyclic:3", "cyclic:7"])
+def test_central_character_from_frobenius_matches_minimal_polynomials(
+        group):
+    """The Frobenius route and the minimal-polynomial route give the same
+    central character on every block, and both refuse the same inputs:
+    blocks that are not split over the field, and sums of two blocks."""
+    refused = {"block": 0, "sum": 0}
+    for spec in ["2", "2^2", "3", "5", "7", "3^2", "2^8"]:
+        ga = blocks.GroupAlgebra(parse_group(group), gfq.GF.parse(spec))
+        bl = ga.blocks(seed=0)
+        cases = [("block", b.coords) for b in bl]
+        cases += [("sum", ga.field.add(a.coords, b.coords))
+                  for a, b in zip(bl, bl[1:])]
+        for kind, coords in cases:
+            got = _character_or_cert(blocks.GroupAlgebra.central_character,
+                                      ga, coords)
+            assert got == _character_or_cert(_minpoly_central_character,
+                                             ga, coords)
+            refused[kind] += got == "cert"
+    assert refused["sum"] > 0
+    if group in ("cyclic:3", "cyclic:7", "alt:5"):
+        assert refused["block"] > 0   # GF(2) does not split them
+
+
+def test_central_character_needs_no_polynomial(monkeypatch):
+    """central_character factors no minimal polynomial: once the blocks
+    are found, it calls neither polys.factor nor vector_annihilator."""
+    ga = blocks.GroupAlgebra(PermGroup.symmetric(5), gfq.GF.parse("2^2"))
+    bl = ga.blocks(seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no polynomial work expected")
+
+    monkeypatch.setattr(polys, "factor", refuse)
+    monkeypatch.setattr(meataxe, "vector_annihilator", refuse)
+    chars = [b.central_character() for b in bl]
+    assert len(set(chars)) == len(chars)
+
+
+def test_central_character_certificate_runs_under_python_O(
+        failure_kinds_under_O):
+    """The scalar-image certificate is not an assert: the sum of two block
+    idempotents is caught under python -O."""
+    assert failure_kinds_under_O("""
+        from blockperm import blocks
+        from blockperm.permgrp import parse_group
+
+        ga = blocks.GroupAlgebra(parse_group("sym:4"), gfq.GF.get(3))
+        e, f = [b.coords for b in ga.blocks(seed=0)][:2]
+        print(kind(lambda: ga.central_character(e)))
+        print(kind(lambda: ga.central_character(ga.field.add(e, f))))
+        """) == ["none", "cert"]
 
 
 def test_brauer_hom_multiplicative_on_class_sums():

@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from blockperm import gfq, meataxe, polys
-from blockperm.permgrp import PermGroup
-from blockperm.modules import GModule
+from blockperm import gfq, meataxe, modules, polys
+from blockperm.permgrp import PermGroup, parse_group
+from blockperm.modules import GModule, SimpleRegistry
 
 
 def perm_module_mats(group, field):
@@ -72,12 +72,24 @@ def test_hom_space_dimension_semisimple_case():
             assert np.array_equal(F.matmul(M, H), F.matmul(H, M))
 
 
+def module_socle(field, mats, seed=0):
+    """RREF row basis of soc M: the sum of images of all homs from simples."""
+    n = meataxe.module_dim(mats)
+    rows = []
+    for s, _k in meataxe.composition_factors(field, mats, seed):
+        for X in meataxe.hom_space(field, s, mats):
+            rows.append(X.T)
+    if not rows:
+        return np.zeros((0, n), dtype=np.int16), []
+    return gfq.echelon(field, np.vstack(rows))
+
+
 def test_radical_and_socle_of_modular_regular_module():
     F = gfq.GF.get(3)
     g = PermGroup.cyclic(3)
     mats = GModule.regular(g, F).mats
     rad, rpiv = meataxe.module_radical(F, mats, seed=0)
-    soc, spiv = meataxe.module_socle(F, mats, seed=0)
+    soc, spiv = module_socle(F, mats, seed=0)
     assert rad.shape[0] == 2   # J(kC3) has codim 1
     assert soc.shape[0] == 1   # simple socle
     layers, chain = meataxe.radical_series(F, mats, seed=0)
@@ -85,6 +97,97 @@ def test_radical_and_socle_of_modular_regular_module():
     assert len(layers) == 3
     for facs_layer in layers:
         assert sum(meataxe.module_dim(m) * k for m, k in facs_layer) == 1
+
+
+def _chopped_radical_series(field, mats, seed=0):
+    """The Loewy layers of radical_series as the chop gives them: each
+    layer rad^i M / rad^(i+1) M split into its composition factors."""
+    simples = [s for s, _ in meataxe.composition_factors(field, mats, seed)]
+    layers = []
+    while meataxe.module_dim(mats) > 0:
+        R, piv = meataxe.module_radical(field, mats, simples=simples)
+        quo, _ = meataxe.quotient_by_submodule(field, mats, R, piv)
+        layers.append(meataxe.composition_factors(field, quo, seed))
+        if R.shape[0] == 0:
+            break
+        mats = meataxe.restrict_to_submodule(field, mats, R, piv)
+    return layers
+
+
+def _labelled(registry, layers, transposed=False):
+    out = []
+    for layer in layers:
+        labs = []
+        for s, mult in layer:
+            if transposed:
+                s = [M.T.copy() for M in s]
+            labs.extend([registry.label(s)] * mult)
+        out.append(sorted(labs))
+    return out
+
+
+@pytest.mark.parametrize("group,spec", [
+    (g, f) for g in ["sym:3", "sym:4", "sym:5", "alt:4", "alt:5"]
+    for f in ["2", "3", "2^2", "5"]] + [("cyclic:3", "2"), ("cyclic:5", "2")])
+def test_layers_from_hom_dims_match_the_chopped_layers(group, spec):
+    """Loewy and socle layers read off hom dimensions, on M's own
+    composition factors, are the layers that chopping each layer gives,
+    up to isomorphism: on k[G/1], k[G/S] for a Sylow p-subgroup S, and
+    the modules of their transposed matrices.  Over GF(2), A_4, A_5, C_3
+    and C_5 have simples that are not absolutely simple (dim End 2 or 4),
+    where a multiplicity is dim Hom / dim End."""
+    F = gfq.GF.parse(spec)
+    g = parse_group(group)
+    perms = [GModule.regular(g, F),
+             GModule.permutation(g, g.sylow_subgroup(F.p), F)]
+    mods = perms + [GModule(g, F, [M.T.copy() for M in m.mats])
+                    for m in perms]
+    ends = set()
+    for m in mods:
+        reg = SimpleRegistry(F)
+        assert modules.loewy_layers(m, reg, seed=0) == \
+            _labelled(reg, _chopped_radical_series(F, m.mats))
+        transposes = [M.T.copy() for M in m.mats]
+        assert modules.socle_layers(m, reg, seed=0) == _labelled(
+            reg, _chopped_radical_series(F, transposes), True)[::-1]
+        ends.update(len(meataxe.hom_space(F, s, s))
+                    for s, _k in meataxe.composition_factors(F, m.mats))
+    if spec == "2" and group in ("alt:4", "alt:5", "cyclic:3", "cyclic:5"):
+        assert ends & {2, 4}
+
+
+def test_last_socle_layer_is_the_socle():
+    """The labels of the last socle layer are those of the composition
+    factors of module_socle, computed from the homs out of the simples."""
+    F = gfq.GF.get(2)
+    for group in ["sym:4", "alt:5"]:
+        g = parse_group(group)
+        for m in [GModule.regular(g, F),
+                  GModule.permutation(g, g.sylow_subgroup(3), F)]:
+            reg = SimpleRegistry(F)
+            last = modules.socle_layers(m, reg, seed=0)[-1]
+            soc, piv = module_socle(F, m.mats)
+            sub = meataxe.restrict_to_submodule(F, m.mats, soc, piv)
+            assert last == _labelled(
+                reg, [meataxe.composition_factors(F, sub)])[0]
+
+
+def test_radical_series_certificates_run_under_python_O(
+        failure_kinds_under_O):
+    """The Loewy layer certificates are not asserts: a simple missing
+    from the simples, or one given twice, is caught under python -O."""
+    assert failure_kinds_under_O("""
+        from blockperm import meataxe
+        from blockperm.modules import GModule
+        from blockperm.permgrp import PermGroup
+
+        F = gfq.GF.get(2)
+        mats = GModule.regular(PermGroup.alternating(4), F).mats
+        simples = [s for s, _ in meataxe.composition_factors(F, mats)]
+        for given in [simples, simples[1:], simples[:-1],
+                      simples + simples[:1]]:
+            print(kind(lambda: meataxe.radical_series(F, mats, 0, given)))
+        """) == ["none", "cert", "cert", "cert"]
 
 
 def test_quotient_and_restrict_are_complementary():

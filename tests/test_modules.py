@@ -127,6 +127,30 @@ def test_loewy_layers_reverse_to_socle_for_selfdual_case():
         sorted(x for l in soc for x in l)
 
 
+@pytest.mark.parametrize("group,spec", [("alt:5", "2"), ("sym:4", "3"),
+                                        ("alt:4", "2^2")])
+def test_radical_socle_series_chops_only_the_module(monkeypatch, group,
+                                                    spec):
+    """radical_socle_series on a fresh module splits no more than
+    composition_factors of the module does: the Loewy layers come from
+    hom dimensions and the socle layers from the transposed factors."""
+    F = gfq.GF.parse(spec)
+    calls = []
+    real = meataxe.split_once
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(meataxe, "split_once", counting)
+    g = parse_group(group)
+    meataxe.composition_factors(F, GModule.regular(g, F).mats, seed=0)
+    chop = len(calls)
+    modules.radical_socle_series(GModule.regular(parse_group(group), F),
+                                 seed=0)
+    assert chop > 0 and len(calls) == 2 * chop
+
+
 def test_is_projective():
     F = gfq.GF.get(3)
     g = PermGroup.symmetric(3)
