@@ -398,14 +398,15 @@ def _hom_kernel(field, mats, simples):
     return R, piv, dims
 
 
-def radical_series(field, mats, seed=0, simples=None):
+def radical_series(field, mats, seed=0, simples=None, ends=None):
     """Descending chain M > rad M > rad^2 M > ... > 0 as row bases in the
     coordinates of M, plus the Loewy layer factor lists.
 
     Returns (layers, chain) where layers[i] lists (S, multiplicity) for
     the simples S in rad^i M / rad^(i+1) M, each S one of simples (the
     same matrices), in their order.  simples, when given, are the simples
-    of composition_factors(field, mats, seed), one per isomorphism class.
+    of composition_factors(field, mats, seed), one per isomorphism class,
+    and ends, when given, dim End(S) for each of them.
 
     No layer is chopped.  The top of rad^i M is semisimple, so
     Hom(rad^i M, S) = Hom(rad^i M / rad^(i+1) M, S) = End(S)^m for the
@@ -419,7 +420,8 @@ def radical_series(field, mats, seed=0, simples=None):
     n = module_dim(mats)
     if simples is None:
         simples = [s for s, _ in composition_factors(field, mats, seed)]
-    ends = [len(hom_space(field, s, s)) for s in simples]
+    if ends is None:
+        ends = [len(hom_space(field, s, s)) for s in simples]
     chain = [np.eye(n, dtype=np.int16)]
     layers = []
     cur_mats = mats

@@ -25,8 +25,13 @@ GroupAlgebra.coset_submodule: B tensor_kS k and the source permutation
 module), the same maps restricted to m span Hom(m, n), and are put into
 the basis meataxe.hom_space returns.  Out of anything else,
 meataxe.hom_space spins m and solves for the images of its seeds.
-coset_maps fills the maps of all fixed vectors in one walk of the coset
-tree of k[G/H].
+When n is, or lies in, a permutation module k[G/K], Hom out of k[G/H]
+runs no linear algebra: n^H of k[G/K] is spanned by the H-orbit sums,
+and a map is a gather from one table of H-orbit labels that a single
+walk of the coset tree of k[G/H] fills (coset_maps), the double-coset
+view of the Hecke algebra (Curtis, Reiner, Methods of Representation
+Theory I, 11D).  Into any other module n^H is a nullspace and the walk
+takes one product per layer.
 
 Each module question is answered once per module content.  decompose,
 endomorphism_algebra, the composition factors behind
@@ -57,6 +62,7 @@ import numpy as np
 from . import gfq
 from . import meataxe
 from .algebra import FinDimAlgebra
+from .permgrp import orbit_labels
 
 
 class GModule:
@@ -102,15 +108,16 @@ class GModule:
         """k[G/H] on the left cosets of H."""
         reps, images = group.coset_action(subgroup)
         n = len(reps)
+        imgs = [np.asarray(img, dtype=np.intp) for img in images]
         mats = []
-        for imgs in images:
+        for img in imgs:
             M = np.zeros((n, n), dtype=np.int16)
-            for i, j in enumerate(imgs):
-                M[j, i] = 1
+            M[img, np.arange(n)] = 1
             mats.append(M)
         m = GModule(group, field, mats,
                     name="k[%s cosets]" % (subgroup.name or "H"),
                     tags=reps)
+        m._perm_imgs = imgs
         m.induced_from = subgroup
         m.coset_tree = _coset_tree(images, n)
         return m
@@ -183,7 +190,6 @@ class GModule:
         m = GModule(big, self.field, mats,
                     name="ind(%s)" % (self.name or "M"))
         m.induced_from = h
-        m._ind_data = (self, reps, images)
         return m
 
     def __repr__(self):
@@ -291,57 +297,101 @@ def hom_modules(m, n, spin=None):
 
 
 def _fixed_vectors(h, n):
-    """Row basis of the H-fixed vectors of n."""
-    hm = [n.rep_of(s) for s in h.generators]
-    if not hm:
-        return np.eye(n.dim, dtype=np.int16)
-    return meataxe.fixed_points(n.field, hm)
+    """Row basis of the H-fixed vectors of n.
+
+    On a permutation basis (n.tags) these are the indicator rows of the
+    H-orbits, ordered by each orbit's largest point: the basis
+    gfq.nullspace gives of the stacked (h - 1), in whose RREF the one free
+    column of an orbit is its last point.  Each row is certified fixed by
+    every generator of H.  Otherwise the basis is meataxe.fixed_points of
+    H's generators."""
+    if n.tags is None:
+        hm = [n.rep_of(s) for s in h.generators]
+        if not hm:
+            return np.eye(n.dim, dtype=np.int16)
+        return meataxe.fixed_points(n.field, hm)
+    maps = [n.perm_image(s) for s in h.generators]
+    label = orbit_labels(maps, n.dim)
+    last = n.dim - 1 - np.unique(label[::-1], return_index=True)[1]
+    by_last = np.argsort(last)
+    U = (label[None, :] == by_last[:, None]).astype(np.int16)
+    # (rho(g) u)[img[i]] = u[i]
+    if any(not np.array_equal(U[:, img], U) for img in maps):
+        raise gfq.CertificateError("an H-orbit row is not H-fixed")
+    return U
 
 
 def coset_maps(perm, n, U):
     """The kG-maps k[G/H] -> n sending the coset H to the H-fixed vectors
-    in the rows of U: column j of a map is g u for any g in the j-th coset.
-    Returned in order as a list of (k, n.dim, perm.dim) stacks of about
-    meataxe.CHUNK_ENTRIES entries, or of one map.
+    in the rows of U: column j of a map is x_j u for the representative
+    x_j of the j-th coset.  Returned in order as a list of (k, n.dim,
+    perm.dim) stacks of about meataxe.CHUNK_ENTRIES entries, or of one
+    map; only those stacks are allocated at full size.
 
-    perm is a permutation module from GModule.permutation; one walk of its
-    coset tree, layer by layer, fills all maps.  When n lies in a
-    permutation module k[G/K] (a permutation basis, or a certified
-    summand), g u is the lift of u to k[G/K] permuted by g and read at n's
-    pivots: the walk keeps the maps y -> g^-1 y of one layer and gathers.
-    Otherwise each step is one product with a generator's matrix for all
-    the maps of a stack.  Temporaries are no larger than a stack.  The
-    stacks are separate allocations: one block for all maps (10 MiB for
-    the 88 maps of a Hom between two k[S_6/C_3]) raised the peak RSS of
-    the perm-modules benchmark by about 1 MiB."""
+    perm is a permutation module from GModule.permutation.  When n lies in
+    a permutation module k[G/K] (a permutation basis, or a certified
+    summand n.ambient), the lift of an H-fixed u to k[G/K] is constant on
+    the H-orbits of its basis: it is C[:, label] for the H-orbit label of
+    each point and C, the lift read at one point per orbit.  Then the lift
+    of x_j u at y is C[:, L[y, j]] for the table L[y, j] of orbit labels
+    of x_j^-1 y, read at n's pivots, and each stack is the one gather
+    C[:, L].  One walk of the coset tree fills L.  The labels are
+    certified constant along H's generators and the lift equal to
+    C[:, label], so a u that is not H-fixed raises CertificateError.
+    Otherwise the walk is one product with a generator's matrix per layer
+    for all the maps of a stack."""
     F = perm.field
     U = np.asarray(U, dtype=np.int16)
     step = max(1, meataxe.CHUNK_ENTRIES // max(n.dim * perm.dim, 1))
     chunks = [slice(i, i + step) for i in range(0, len(U), step)]
+    if n.tags is None and n.ambient is None:
+        return _product_walk(perm, n, U, chunks)
+    amb, rows, piv = (n, None, None) if n.tags is not None else n.ambient
+    maps = [amb.perm_image(s) for s in perm.induced_from.generators]
+    label = orbit_labels(maps, amb.dim)
+    if any(not np.array_equal(label[img], label) for img in maps):
+        raise gfq.CertificateError("orbit labels not constant on H-orbits")
+    flat = U if rows is None else F.matmul(U, rows)
+    C = flat[:, np.unique(label, return_index=True)[1]]
+    if not np.array_equal(C[:, label], flat):
+        raise gfq.CertificateError("a lifted vector is not H-fixed")
+    L = _label_walk(perm, amb, label)
+    if piv is not None:
+        L = L[piv]
+    return [np.take(C[c], L, axis=1) for c in chunks]
+
+
+def _label_walk(perm, amb, label):
+    """(amb.dim, perm.dim) table L of H-orbit labels: L[y, j] is
+    label[x_j^-1 y] for the representative x_j of the j-th coset in the
+    coset tree of perm.  (s x)^-1 y = x^-1 s^-1 y, so a child's column is
+    its parent's read at s^-1 y."""
+    sinv = np.array([np.argsort(img) for img in amb.perm_images()],
+                    dtype=np.intp).reshape(-1, amb.dim)
+    L = np.empty((amb.dim, perm.dim), dtype=np.intp)
+    L[:, 0] = label
+    prev = np.zeros(1, dtype=np.intp)
+    for cosets, gens, parents in perm.coset_tree:
+        L[:, cosets] = L[sinv[gens].T, prev[parents]]
+        prev = cosets
+    return L
+
+
+def _product_walk(perm, n, U, chunks):
+    """coset_maps into a module n without a permutation basis: layer by
+    layer, x_j u = s (x_i u) for the tree edge from coset i by generator
+    s, one product per generator and stack."""
+    F = perm.field
     stacks = [np.empty((len(U[c]), n.dim, perm.dim), dtype=np.int16)
               for c in chunks]
     for c, X in zip(chunks, stacks):
         X[:, :, 0] = U[c]
-    lift = n.tags is not None or n.ambient is not None
-    if lift:
-        amb, rows, piv = (n, None, None) if n.tags is not None else n.ambient
-        sinv = np.array([np.argsort(img) for img in amb.perm_images()],
-                        dtype=np.int32).reshape(-1, amb.dim)
-        flat = U if rows is None else F.matmul(U, rows)
-        inv = np.arange(amb.dim, dtype=np.int32)[None, :]
     prev = np.zeros(1, dtype=np.intp)
     for cosets, gens, parents in perm.coset_tree:
-        if lift:
-            # (g u)[y] = u[g^-1 y], and (s g)^-1 = g^-1 s^-1
-            inv = inv[parents[:, None], sinv[gens]]
-            at = inv if piv is None else inv[:, piv]
-            for c, X in zip(chunks, stacks):
-                X[:, :, cosets] = flat[c][:, at].transpose(0, 2, 1)
-        else:
-            for s in np.unique(gens):
-                src, dst = prev[parents[gens == s]], cosets[gens == s]
-                for X in stacks:
-                    X[:, :, dst] = F.matmul(n.mats[s], X[:, :, src])
+        for s in np.unique(gens):
+            src, dst = prev[parents[gens == s]], cosets[gens == s]
+            for X in stacks:
+                X[:, :, dst] = F.matmul(n.mats[s], X[:, :, src])
         prev = cosets
     return stacks
 
@@ -559,15 +609,24 @@ def _radical_layers(m, seed, transposed=False):
     The transposes need no chop of their own.  A composition series
     0 = M_0 < M_1 < ... < M_r = M gives the annihilators M_i^perp, a
     composition series for the transposed matrices whose factors
-    M_(i-1)^perp / M_i^perp are the transposes of the M_i / M_(i-1)."""
+    M_(i-1)^perp / M_i^perp are the transposes of the M_i / M_(i-1).
+    Nor do they need their own End dims: End(S^T) is End(S)^op."""
     def compute():
         simples = [s for s, _ in _factors(m, seed)]
         mats = m.mats
         if transposed:
             mats = [M.T for M in mats]
             simples = [[S.T.copy() for S in s] for s in simples]
-        return meataxe.radical_series(m.field, mats, seed, simples)[0]
+        return meataxe.radical_series(m.field, mats, seed, simples,
+                                      _end_dims(m, seed))[0]
     return _recall(m, "socle" if transposed else "layers", compute, seed)
+
+
+def _end_dims(m, seed):
+    """dim End(S) for the simples S of _factors(m, seed)."""
+    return _recall(m, "end-dims", lambda: [
+        len(meataxe.hom_space(m.field, s, s)) for s, _ in _factors(m, seed)],
+        seed)
 
 
 def loewy_layers(m, registry=None, seed=0):

@@ -133,7 +133,7 @@ def test_criterion_7_double_coset_identity(runs):
     for a in triples:
         assert a["passed"], a
         assert a["computed"] == a["expected"]
-    budget(60, rep)
+    budget(10, rep)
 
 
 def test_criterion_8_multiplicity_formula(runs):

@@ -61,6 +61,26 @@ def test_decompose_krull_schmidt_stability():
     assert all(o == outcomes[0] for o in outcomes)
 
 
+@pytest.mark.parametrize("gspec,fspec", [("sym:4", "3"), ("alt:5", "2^2"),
+                                         ("sym:5", "5")])
+def test_permutation_matrices_match_the_per_entry_loop(gspec, fspec):
+    """GModule.permutation scatters each generator matrix at once and
+    keeps the coset images it built them from: the matrices are the ones
+    the per-entry loop built, and perm_images is the argmax of each."""
+    g, F = parse_group(gspec), gfq.GF.parse(fspec)
+    for h in g.p_subgroups_up_to_conjugacy(2):
+        m = GModule.permutation(g, h, F)
+        _reps, images = g.coset_action(h)
+        for M, imgs, img in zip(m.mats, images, m.perm_images()):
+            ref = np.zeros((m.dim, m.dim), dtype=np.int16)
+            for i, j in enumerate(imgs):
+                ref[j, i] = 1
+            ref = F.array(ref)
+            assert M.dtype == ref.dtype and M.tobytes() == ref.tobytes()
+            want = np.argmax(ref, axis=0)
+            assert img.dtype == want.dtype and img.tobytes() == want.tobytes()
+
+
 def test_decompose_finds_trivial_summand():
     # |G/H| coprime to p: the trivial module splits off
     F = gfq.GF.get(2)
@@ -149,6 +169,28 @@ def test_radical_socle_series_chops_only_the_module(monkeypatch, group,
     modules.radical_socle_series(GModule.regular(parse_group(group), F),
                                  seed=0)
     assert chop > 0 and len(calls) == 2 * chop
+
+
+@pytest.mark.parametrize("group,spec", [("alt:5", "2"), ("sym:4", "3"),
+                                        ("alt:4", "2^2")])
+def test_radical_socle_series_asks_each_end_once(monkeypatch, group, spec):
+    """radical_socle_series computes dim End(S) once per simple S of the
+    module: the socle series reuses the Loewy series' values, since
+    End(S^T) is End(S)^op."""
+    F = gfq.GF.parse(spec)
+    ends = []
+    real = meataxe.hom_space
+
+    def counting(field, mats_m, mats_n, *args):
+        if mats_m is mats_n:
+            ends.append(1)
+        return real(field, mats_m, mats_n, *args)
+
+    monkeypatch.setattr(meataxe, "hom_space", counting)
+    m = GModule.regular(parse_group(group), F)
+    series = modules.radical_socle_series(m, seed=0)
+    assert len(series["socle_layers"]) == len(series["radical_layers"])
+    assert len(ends) == len(modules._factors(m, 0)) > 1
 
 
 def test_is_projective():
